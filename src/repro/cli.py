@@ -186,13 +186,6 @@ def _lateness_seconds(value: str) -> float:
     return seconds
 
 
-def _inflight_segments(value: str) -> int:
-    count = int(value)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
-
-
 def _positive_int(value: str) -> int:
     count = int(value)
     if count < 1:
@@ -203,7 +196,7 @@ def _positive_int(value: str) -> int:
 def _add_inflight_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--inflight-segments",
-        type=_inflight_segments,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="pipeline up to N segments concurrently (prefetch + parallel "
@@ -211,6 +204,16 @@ def _add_inflight_flag(parser: argparse.ArgumentParser) -> None:
              "Default: 1 for serial runs, sized from --workers otherwise. "
              "Output is byte-identical at any value",
     )
+
+
+def _inflight_needs_disk(args: argparse.Namespace) -> Optional[int]:
+    """Exit code 2 when ``--inflight-segments`` comes without ``--store
+    disk`` (there are no segments to pipeline), else ``None``."""
+    if args.store == "disk" or args.inflight_segments is None:
+        return None
+    print("--inflight-segments pipelines store segments; it needs "
+          "--store disk", file=sys.stderr)
+    return 2
 
 
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
@@ -741,10 +744,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.store != "disk" and args.inflight_segments is not None:
-        print("--inflight-segments pipelines store segments; it needs "
-              "--store disk", file=sys.stderr)
-        return 2
+    err = _inflight_needs_disk(args)
+    if err is not None:
+        return err
     preset = primary_config if args.dataset == "primary" else baseline_config
     config = preset() if args.seed is None else preset(seed=args.seed)
     config = config.scaled(args.scale)
@@ -866,10 +868,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return err
     if args.store == "disk":
         return _cmd_validate_disk(args, ctx, resilience, fault_plan)
-    if args.inflight_segments is not None:
-        print("--inflight-segments pipelines store segments; it needs "
-              "--store disk", file=sys.stderr)
-        return 2
+    err = _inflight_needs_disk(args)
+    if err is not None:
+        return err
     seeds = {}
     visit_config = _visit_config(args)
     with activate(ctx):

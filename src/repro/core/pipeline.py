@@ -6,10 +6,10 @@ numbers (Figure 1's Venn regions, the class breakdown) into a single
 :class:`ValidationReport`.
 
 ``validate_store(store)`` is the out-of-core twin: it streams a
-:class:`repro.store.StudyStore` one segment at a time through the same
-three stages, so peak memory is bounded by the largest segment while
-counters, gauges, summaries and fingerprints stay byte-identical to the
-in-memory path.
+:class:`repro.store.StudyStore` through the same three stages one
+segment (or one in-flight window of segments) at a time, so peak memory
+is bounded by the segments in flight while counters, gauges, summaries
+and fingerprints stay byte-identical to the in-memory path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..runtime import (
     RunHealth,
     RuntimeTimings,
     StreamMerger,
-    available_workers,
+    inflight_window,
     resolve_executor,
     run_pipelined,
     shard_count,
@@ -55,9 +55,9 @@ def format_summary(
     """The pipeline's human-readable summary, from plain aggregates.
 
     Single formatter behind :meth:`ValidationReport.summary` and
-    :meth:`ValidationSummary.summary` — the streaming path accumulates
-    the same integers the in-memory result derives, so both render the
-    exact same text.
+    :meth:`HeadlineCounts.summary` — the streaming and serving paths
+    accumulate the same integers the in-memory result derives, so all
+    render the exact same text.
     """
     extraneous_fraction = n_extraneous / n_checkins if n_checkins else 0.0
     coverage_fraction = n_honest / n_visits if n_visits else 0.0
@@ -136,6 +136,7 @@ class ValidationReport:
         )
 
 
+
 def validate(
     dataset: Dataset,
     visit_config: Optional[VisitConfig] = None,
@@ -188,42 +189,12 @@ def validate(
             users=len(dataset.users),
             workers=exec_.workers,
         ):
-            extract_dataset_visits(
-                dataset, visit_config, executor=exec_, timings=timings,
-                resilience=resilience, fault_plan=fault_plan, health=health,
-            )
-            # Users skipped during extraction have no visits; keep the
-            # degraded run going on the users that do.
-            skipped = set(health.skipped_user_ids("extract"))
-            working = (
-                dataset
-                if not skipped
-                else dataset.subset(
-                    [u for u in dataset.users if u not in skipped],
-                    name=dataset.name,
-                )
-            )
-            matching = match_dataset(
-                working, match_config, executor=exec_, timings=timings,
-                resilience=resilience, fault_plan=fault_plan, health=health,
-            )
-            classification = classify_dataset(
-                working, matching, classify_config, executor=exec_,
-                timings=timings, resilience=resilience, fault_plan=fault_plan,
-                health=health,
+            matching, classification = _segment_results(
+                dataset, visit_config, match_config, classify_config, exec_,
+                timings, resilience, fault_plan, health,
             )
             ctx.count("pipeline.runs_total", 1)
-            # Headline fractions as parent-side gauges: deterministic at
-            # any worker count (set once, after aggregation) and the
-            # direct inputs of the fidelity scorecard.
-            ctx.set_gauge(
-                "matching.extraneous_fraction", matching.extraneous_fraction()
-            )
-            ctx.set_gauge(
-                "matching.missing_fraction", 1.0 - matching.coverage_fraction()
-            )
-            if health.degraded:
-                ctx.set_gauge("pipeline.degraded", 1.0)
+            set_headline_gauges(ctx, matching, health)
     finally:
         if owned:
             exec_.close()
@@ -236,30 +207,36 @@ def validate(
     )
 
 
-@dataclass
-class ValidationSummary:
-    """Aggregates of a streamed (out-of-core) validation run.
+def set_headline_gauges(ctx, counts, health: Optional[RunHealth] = None) -> None:
+    """Publish Figure 1's headline fractions as gauges.
 
-    Carries everything the report-level consumers need — headline
-    counts, the class breakdown, per-user visit counts for the dataset
-    fingerprint — without holding any per-checkin results, so its size
-    is O(users), not O(records).
+    ``counts`` is anything with the :class:`HeadlineCounts` fraction
+    methods (a record or a :class:`MatchingResult`).  Every caller sets
+    them once, after aggregation, from the same integer operands, so the
+    floats agree bit for bit at any worker count and on every path —
+    and they are the direct inputs of the fidelity scorecard.
+    """
+    ctx.set_gauge("matching.extraneous_fraction", counts.extraneous_fraction())
+    ctx.set_gauge("matching.missing_fraction", 1.0 - counts.coverage_fraction())
+    if health is not None and health.degraded:
+        ctx.set_gauge("pipeline.degraded", 1.0)
+
+
+@dataclass
+class HeadlineCounts:
+    """Figure 1's regions for one run, as plain aggregates.
+
+    The base of every summary that counts instead of keeping per-checkin
+    results — the streamed :class:`ValidationSummary` and the serving
+    layer's ``ServeSummary`` — so checkin/visit totals, both fractions
+    and the summary text are derived in one place.
     """
 
     name: str
-    n_users: int
-    n_segments: int
     n_honest: int
     n_extraneous: int
     n_missing: int
     type_counts: Dict[CheckinType, int]
-    #: Per-user extracted-visit count (``-1`` = extraction skipped), the
-    #: input of :meth:`repro.store.StudyStore.fingerprint`.
-    visit_counts: Dict[str, int]
-    timings: RuntimeTimings = field(default_factory=RuntimeTimings)
-    health: RunHealth = field(default_factory=RunHealth)
-    #: Segments replayed from checkpoints instead of recomputed.
-    segments_reused: int = 0
 
     @property
     def n_checkins(self) -> int:
@@ -275,6 +252,10 @@ class ValidationSummary:
     def coverage_fraction(self) -> float:
         return self.n_honest / self.n_visits if self.n_visits else 0.0
 
+    def skipped_user_ids(self) -> Tuple[str, ...]:
+        """Users a degraded run left out (none unless health is tracked)."""
+        return ()
+
     def summary(self) -> str:
         """Identical text to :meth:`ValidationReport.summary`."""
         return format_summary(
@@ -285,37 +266,71 @@ class ValidationSummary:
             self.n_extraneous,
             self.n_missing,
             self.type_counts,
-            self.health.skipped_user_ids(),
+            self.skipped_user_ids(),
         )
 
 
+@dataclass
+class ValidationSummary(HeadlineCounts):
+    """Aggregates of a streamed (out-of-core) validation run.
+
+    Carries everything the report-level consumers need — headline
+    counts, the class breakdown, per-user visit counts for the dataset
+    fingerprint — without holding any per-checkin results, so its size
+    is O(users), not O(records).
+    """
+
+    n_users: int
+    n_segments: int
+    #: Per-user extracted-visit count (``-1`` = extraction skipped), the
+    #: input of :meth:`repro.store.StudyStore.fingerprint`.
+    visit_counts: Dict[str, int]
+    timings: RuntimeTimings = field(default_factory=RuntimeTimings)
+    health: RunHealth = field(default_factory=RunHealth)
+    #: Segments replayed from checkpoints instead of recomputed.
+    segments_reused: int = 0
+
+    def skipped_user_ids(self) -> Tuple[str, ...]:
+        return self.health.skipped_user_ids()
+
+    def add_segment(self, user_ids: Sequence[str], results: Mapping) -> None:
+        """Fold one segment's results (checkpoint-shaped: ``matching``,
+        ``labels``, ``visits``) into the running counts."""
+        for user_matching in results["matching"].values():
+            self.n_honest += len(user_matching.matches)
+            self.n_extraneous += len(user_matching.extraneous)
+            self.n_missing += len(user_matching.missing)
+        for label in results["labels"].values():
+            self.type_counts[label] += 1
+        for user_id in user_ids:
+            visits = results["visits"].get(user_id)
+            self.visit_counts[user_id] = -1 if visits is None else len(visits)
+
+
 def _segment_results(
-    entry: SegmentEntry,
-    seg_dataset: Dataset,
-    visit_config: VisitConfig,
-    match_config: MatchConfig,
-    classify_config: ClassifyConfig,
+    dataset: Dataset,
+    visit_config: Optional[VisitConfig],
+    match_config: Optional[MatchConfig],
+    classify_config: Optional[ClassifyConfig],
     exec_,
     timings: RuntimeTimings,
     resilience,
     fault_plan,
     health: RunHealth,
+    shards=None,
 ):
-    """Run the three stages on one loaded segment.
+    """Run the three stages on one dataset: extract, match, classify.
 
-    Shards come from the segment's manifest counts
-    (:func:`repro.runtime.shard_segment`), so segment size — not study
-    size — bounds the sharding work too.
+    Users whose extraction was skipped during this call have no visits;
+    matching and classification run on the rest, keeping a degraded run
+    going.  ``shards`` pre-plans extraction — a store segment passes
+    the plan from its manifest counts
+    (:func:`repro.runtime.shard_segment`), so segment size, not study
+    size, bounds the sharding work; ``None`` shards the dataset itself.
     """
-    shards = shard_segment(
-        entry.user_ids,
-        entry.gps_counts,
-        entry.checkin_counts,
-        shard_count(exec_, entry.n_users),
-    )
     skip_base = len(health.skipped)
     extract_dataset_visits(
-        seg_dataset, visit_config, executor=exec_, timings=timings,
+        dataset, visit_config, executor=exec_, timings=timings,
         resilience=resilience, fault_plan=fault_plan, health=health,
         shards=shards,
     )
@@ -326,11 +341,11 @@ def _segment_results(
         for user_id in degraded.user_ids
     }
     working = (
-        seg_dataset
+        dataset
         if not skipped
-        else seg_dataset.subset(
-            [u for u in seg_dataset.users if u not in skipped],
-            name=seg_dataset.name,
+        else dataset.subset(
+            [u for u in dataset.users if u not in skipped],
+            name=dataset.name,
         )
     )
     matching = match_dataset(
@@ -413,38 +428,6 @@ class _SegmentProgress:
             self.stream.flush()
 
 
-def _resolve_inflight(
-    inflight_segments: Optional[int],
-    workers: Optional[int],
-    executor,
-    n_segments: int,
-) -> int:
-    """How many segments may be in flight (loaded or computing) at once.
-
-    ``1`` is the serial streaming loop.  The default sizes the window
-    from the worker count — enough segments to hide load latency and
-    stage-boundary pool idling, capped so memory stays a small multiple
-    of one segment.  An explicit ``executor`` cannot be shared across
-    concurrent segments (the resilience layer rebuilds pools on crash,
-    which would cancel sibling segments' shards), so it forces the
-    serial loop unless the caller explicitly asks for more.
-    """
-    if inflight_segments is not None:
-        if inflight_segments < 1:
-            raise ValueError(
-                f"inflight_segments must be >= 1, got {inflight_segments}"
-            )
-        if executor is not None and inflight_segments > 1:
-            raise RuntimeConfigError(
-                "an explicit executor cannot be shared across in-flight "
-                "segments; pass workers= instead"
-            )
-        return min(inflight_segments, max(n_segments, 1))
-    if executor is not None or workers is None or workers == 1:
-        return 1
-    effective = workers if workers > 0 else available_workers()
-    return max(1, min(n_segments, min(effective, 4) + 1))
-
 
 def _load_segment_resilient(
     store: StudyStore,
@@ -495,91 +478,6 @@ def _load_segment_resilient(
             raise
 
 
-class _StoreAggregate:
-    """Reduce-side accumulator shared by the serial and pipelined paths.
-
-    Segments are always folded in manifest order, so both paths build
-    identical aggregates — and the summary, fingerprint, and report
-    derived from them are byte-identical.
-    """
-
-    def __init__(self, keep_results: bool) -> None:
-        self.keep_results = keep_results
-        self.n_honest = 0
-        self.n_extraneous = 0
-        self.n_missing = 0
-        self.segments_reused = 0
-        self.type_counts: Dict[CheckinType, int] = {kind: 0 for kind in CheckinType}
-        self.visit_counts: Dict[str, int] = {}
-        self.merger: StreamMerger = StreamMerger()
-        self.labels: Dict[str, CheckinType] = {}
-        self.checkins: Dict = {}
-        self.users: Dict[str, UserData] = {}
-
-    def add_segment(
-        self,
-        entry: SegmentEntry,
-        per_user_matching: Dict,
-        seg_labels: Dict,
-        seg_checkins: Dict,
-        seg_visits: Dict,
-        seg_users: Optional[Dict[str, UserData]],
-    ) -> None:
-        for user_matching in per_user_matching.values():
-            self.n_honest += len(user_matching.matches)
-            self.n_extraneous += len(user_matching.extraneous)
-            self.n_missing += len(user_matching.missing)
-        for label in seg_labels.values():
-            self.type_counts[label] += 1
-        for user_id in entry.user_ids:
-            visits = seg_visits.get(user_id)
-            self.visit_counts[user_id] = -1 if visits is None else len(visits)
-        if self.keep_results:
-            self.merger.absorb(per_user_matching)
-            self.labels.update(seg_labels)
-            self.checkins.update(seg_checkins)
-            if seg_users is not None:
-                self.users.update(seg_users)
-
-    @property
-    def n_checkins(self) -> int:
-        return self.n_honest + self.n_extraneous
-
-    @property
-    def n_visits(self) -> int:
-        return self.n_honest + self.n_missing
-
-    def set_headline_gauges(self, ctx, health: RunHealth) -> None:
-        """Same gauges as `validate`, from the same integers: the
-        divisions see identical operands, so the floats match."""
-        ctx.set_gauge(
-            "matching.extraneous_fraction",
-            self.n_extraneous / self.n_checkins if self.n_checkins else 0.0,
-        )
-        ctx.set_gauge(
-            "matching.missing_fraction",
-            1.0 - (self.n_honest / self.n_visits if self.n_visits else 0.0),
-        )
-        if health.degraded:
-            ctx.set_gauge("pipeline.degraded", 1.0)
-
-
-def _checkpoint_payload(
-    per_user_matching: Dict,
-    seg_labels: Dict,
-    seg_checkins: Dict,
-    seg_visits: Dict,
-    deltas: Dict[str, int],
-) -> Dict[str, Any]:
-    return {
-        "matching": per_user_matching,
-        "labels": seg_labels,
-        "checkins": seg_checkins,
-        "visits": seg_visits,
-        "counters": deltas,
-    }
-
-
 def validate_store(
     store: StudyStore,
     visit_config: Optional[VisitConfig] = None,
@@ -605,21 +503,25 @@ def validate_store(
     dropped — peak memory is bounded by segments in flight, not study
     size.
 
-    ``inflight_segments`` > 1 turns on the **pipelined scheduler**
-    (:func:`repro.runtime.run_pipelined`): a prefetch thread loads and
-    checkpoint-probes up to that many segments ahead while lane threads
-    run the three stages of different segments concurrently, each lane
-    on its own executor, and the reducer folds results strictly in
-    manifest order.  The default is ``1`` (the serial streaming loop)
-    for serial runs, or sized from ``workers`` for parallel ones.  Peak
-    RSS is bounded by ``baseline + inflight × largest segment``.
+    The walk is one ``load`` / ``compute`` / ``reduce`` triple driven by
+    :func:`repro.runtime.run_pipelined`.  ``load`` probes the segment's
+    checkpoint and maps it, ``compute`` runs the three stages under a
+    private obs context, and ``reduce`` folds results strictly in
+    manifest order.  ``inflight_segments`` is the window: at ``1`` (the
+    default for serial runs and whenever an explicit ``executor`` is
+    passed) the triple runs inline on the calling thread, one segment at
+    a time, with no threads; a wider window (sized from ``workers`` by
+    default for parallel runs) lets a prefetch thread load that many
+    segments ahead while up to two lane threads compute different
+    segments, each lane on its own executor.  Peak RSS is bounded by
+    ``baseline + inflight × largest segment``.
 
     Per-user computation is deterministic, segments partition the user
     set in dataset order, and reduction happens in manifest order at any
     ``inflight_segments``/worker count — so the summary text, semantic
     counters and gauges, dataset fingerprint, and checkpoint files are
-    byte-identical to ``validate(store.load_dataset())`` and to the
-    serial streaming loop.
+    byte-identical to ``validate(store.load_dataset())`` and across
+    windows.
 
     ``checkpoints`` (a :class:`repro.store.CheckpointStore` or a
     directory path) arms per-segment crash recovery: finished segments
@@ -642,11 +544,10 @@ def validate_store(
     ``telemetry`` (a :class:`repro.obs.TelemetrySampler`) publishes live
     progress — ``store.segments_done``, ``store.users_done`` (+ the
     ``store.users_done_total`` counter the monitor rates), the planned
-    totals, and the pipelined scheduler's in-flight/overlap/stall
-    figures — into the sampler's own :class:`~repro.obs.LiveMetrics`
-    bag.  The run's :class:`~repro.obs.MetricsRegistry` is never
-    touched, so manifests and parity suites stay byte-identical with
-    telemetry on or off.
+    totals, and the scheduler's in-flight/overlap/stall figures — into
+    the sampler's own :class:`~repro.obs.LiveMetrics` bag.  The run's
+    :class:`~repro.obs.MetricsRegistry` is never touched, so manifests
+    and parity suites stay byte-identical with telemetry on or off.
 
     ``keep_results=False`` (the default, the out-of-core mode) returns a
     :class:`ValidationSummary`; ``keep_results=True`` materialises every
@@ -663,8 +564,18 @@ def validate_store(
     if checkpoints is not None and not isinstance(checkpoints, CheckpointStore):
         checkpoints = CheckpointStore(checkpoints)
     checkpoint_key = config_hash(visit_config, match_config, classify_config)
-    inflight = _resolve_inflight(
-        inflight_segments, workers, executor, len(store.segments)
+    # An explicit executor cannot be shared across in-flight segments
+    # (the resilience layer rebuilds pools on crash, which would cancel
+    # sibling segments' shards), so it pins the window to 1.
+    if executor is not None and (inflight_segments or 1) > 1:
+        raise RuntimeConfigError(
+            "an explicit executor cannot be shared across in-flight "
+            "segments; pass workers= instead"
+        )
+    inflight = inflight_window(
+        inflight_segments,
+        workers if executor is None else None,
+        len(store.segments),
     )
     # With a fault plan but no explicit resilience config, segment loads
     # run under the default policy — mirroring run_stage's convention.
@@ -672,8 +583,22 @@ def validate_store(
     if load_resilience is None and fault_plan is not None:
         load_resilience = ResilienceConfig()
 
-    agg = _StoreAggregate(keep_results)
-    timings = RuntimeTimings()
+    summary = ValidationSummary(
+        name=store.name,
+        n_honest=0,
+        n_extraneous=0,
+        n_missing=0,
+        type_counts={kind: 0 for kind in CheckinType},
+        n_users=store.n_users,
+        n_segments=len(store.segments),
+        visit_counts={},
+        health=health,
+    )
+    # keep_results only: the full per-user results, merged in order.
+    merger = StreamMerger()
+    labels: Dict[str, CheckinType] = {}
+    checkins: Dict = {}
+    users: Dict[str, UserData] = {}
     prog = (
         _SegmentProgress(progress, len(store.segments), store.n_users)
         if progress is not None
@@ -687,196 +612,15 @@ def validate_store(
         live.set_gauge("store.users_done", 0.0)
         live.set_gauge("store.inflight_segments", float(inflight))
 
-    if inflight > 1:
-        return _validate_store_pipelined(
-            store, visit_config, match_config, classify_config, workers,
-            ctx, resilience, load_resilience, fault_plan, health,
-            checkpoints, checkpoint_key, keep_results, inflight, agg,
-            timings, prog, live,
-        )
-
-    done_segments = 0
-    done_users = 0
-
-    def live_segment(n_users: int) -> None:
-        nonlocal done_segments, done_users
-        if live is None:
-            return
-        done_segments += 1
-        done_users += n_users
-        live.set_gauge("store.segments_done", float(done_segments))
-        live.set_gauge("store.users_done", float(done_users))
-        live.inc("store.users_done_total", n_users)
-
-    exec_, owned = resolve_executor(executor, workers)
-    try:
-        with activate(ctx), ctx.span(
-            "pipeline.validate",
-            dataset=store.name,
-            users=store.n_users,
-            workers=exec_.workers,
-            segments=len(store.segments),
-        ):
-            ctx.set_gauge("store.inflight_segments", float(inflight))
-            pois = store.load_pois()
-            for entry in store.segments:
-                payload = (
-                    checkpoints.load(entry, checkpoint_key)
-                    if checkpoints is not None
-                    else None
-                )
-                seg_plan = (
-                    fault_plan.for_segment(entry.segment_id)
-                    if fault_plan is not None
-                    else None
-                )
-                with ctx.span(
-                    "store.segment",
-                    segment=entry.segment_id,
-                    users=entry.n_users,
-                    reused=payload is not None,
-                ):
-                    if payload is not None:
-                        agg.segments_reused += 1
-                        ctx.count("store.segments_reused", 1)
-                        for name, delta in payload["counters"].items():
-                            ctx.count(name, delta)
-                        per_user_matching = payload["matching"]
-                        seg_labels = payload["labels"]
-                        seg_checkins = payload["checkins"]
-                        seg_visits = payload["visits"]
-                        seg_dataset = None
-                        if keep_results:
-                            seg_dataset = store.load_segment(entry, pois=pois)
-                            for user_id, data in seg_dataset.users.items():
-                                data.visits = seg_visits[user_id]
-                    else:
-                        # Load first: load-level retry/skip counters must
-                        # land *before* the checkpoint-delta snapshot so
-                        # recovery noise never pollutes checkpoint bytes.
-                        seg_dataset, load_retries, degraded = (
-                            _load_segment_resilient(
-                                store, entry, pois, load_resilience, seg_plan
-                            )
-                        )
-                        if load_retries:
-                            health.retries += load_retries
-                            ctx.count("runtime.shard_retries", load_retries)
-                        if degraded is not None:
-                            health.skipped.append(degraded)
-                            ctx.count("runtime.shards_skipped", 1)
-                            per_user_matching = {}
-                            seg_labels = {}
-                            seg_checkins = {}
-                            seg_visits = {}
-                            ctx.count("store.segments_total", 1)
-                            agg.add_segment(
-                                entry, per_user_matching, seg_labels,
-                                seg_checkins, seg_visits, None,
-                            )
-                            if prog is not None:
-                                prog.update(entry.n_users, reused=False)
-                            live_segment(entry.n_users)
-                            continue
-                        before = (
-                            dict(ctx.metrics.snapshot()["counters"])
-                            if ctx.enabled
-                            else {}
-                        )
-                        matching, classification = _segment_results(
-                            entry, seg_dataset, visit_config, match_config,
-                            classify_config, exec_, timings, resilience,
-                            seg_plan, health,
-                        )
-                        per_user_matching = matching.per_user
-                        seg_labels = classification.labels
-                        seg_checkins = classification.checkins
-                        seg_visits = {
-                            user_id: data.visits
-                            for user_id, data in seg_dataset.users.items()
-                        }
-                        if checkpoints is not None:
-                            after = (
-                                dict(ctx.metrics.snapshot()["counters"])
-                                if ctx.enabled
-                                else {}
-                            )
-                            # Keep new-but-zero counters (a key counted
-                            # with delta 0 still exists in the snapshot)
-                            # so replay recreates the exact key set.
-                            deltas = {
-                                name: value - before.get(name, 0)
-                                for name, value in after.items()
-                                if name not in before or value != before[name]
-                            }
-                            checkpoints.save(
-                                entry,
-                                checkpoint_key,
-                                _checkpoint_payload(
-                                    per_user_matching, seg_labels,
-                                    seg_checkins, seg_visits, deltas,
-                                ),
-                            )
-                    ctx.count("store.segments_total", 1)
-                # Reduce this segment into the running aggregates; the
-                # segment's data is dropped before the next one loads.
-                agg.add_segment(
-                    entry, per_user_matching, seg_labels, seg_checkins,
-                    seg_visits,
-                    seg_dataset.users if seg_dataset is not None else None,
-                )
-                if prog is not None:
-                    prog.update(entry.n_users, reused=payload is not None)
-                live_segment(entry.n_users)
-            ctx.count("pipeline.runs_total", 1)
-            agg.set_headline_gauges(ctx, health)
-    finally:
-        if owned:
-            exec_.close()
-        if prog is not None:
-            prog.close()
-    return _store_result(
-        store, agg, match_config, classify_config, timings, health,
-        keep_results,
-    )
-
-
-def _validate_store_pipelined(
-    store: StudyStore,
-    visit_config: VisitConfig,
-    match_config: MatchConfig,
-    classify_config: ClassifyConfig,
-    workers: Optional[int],
-    ctx,
-    resilience,
-    load_resilience,
-    fault_plan,
-    health: RunHealth,
-    checkpoints: Optional[CheckpointStore],
-    checkpoint_key: str,
-    keep_results: bool,
-    inflight: int,
-    agg: _StoreAggregate,
-    timings: RuntimeTimings,
-    prog: Optional[_SegmentProgress],
-    live=None,
-) -> Union[ValidationSummary, ValidationReport]:
-    """The pipelined scheduler behind ``validate_store(inflight > 1)``.
-
-    Prefetch thread: checkpoint probe + mmap load, up to ``inflight``
-    segments ahead.  Lane threads: the three pipeline stages, each lane
-    on its own executor (full requested width, so shard layout — and
-    therefore every per-segment counter — matches the serial loop
-    exactly) under a private obs context activated thread-locally.
-    Reducer (this thread): folds outcomes in manifest order — absorbs
-    the segment's obs delta, writes its checkpoint, merges health and
-    timings, updates aggregates — so everything downstream is
-    byte-identical to the serial loop.
-    """
     # Two lanes hide one segment's stage-boundary pool idling behind the
     # other's compute; more lanes add process pressure, not throughput.
+    # Every lane runs at the full requested width, so the shard layout —
+    # and therefore every per-segment counter — is the same at any window.
     lanes = max(1, min(2, inflight, len(store.segments)))
-    lane_execs = [resolve_executor(None, workers)[0] for _ in range(lanes)]
+    lane_execs = [
+        resolve_executor(executor if lane == 0 else None, workers)
+        for lane in range(lanes)
+    ]
     pois = store.load_pois()
 
     def seg_plan_for(entry: SegmentEntry):
@@ -892,54 +636,61 @@ def _validate_store_pipelined(
             if checkpoints is not None
             else None
         )
-        if payload is not None:
-            seg_dataset = None
-            if keep_results:
-                seg_dataset = store.load_segment(entry, pois=pois)
-                for user_id, data in seg_dataset.users.items():
-                    data.visits = payload["visits"][user_id]
-            return ("reused", payload, seg_dataset)
-        seg_dataset, load_retries, degraded = _load_segment_resilient(
-            store, entry, pois, load_resilience, seg_plan_for(entry)
-        )
-        return ("fresh", seg_dataset, load_retries, degraded)
+        if payload is None:
+            seg_dataset, load_retries, degraded = _load_segment_resilient(
+                store, entry, pois, load_resilience, seg_plan_for(entry)
+            )
+            return None, seg_dataset, load_retries, degraded
+        seg_dataset = None
+        if keep_results:
+            seg_dataset = store.load_segment(entry, pois=pois)
+            for user_id, data in seg_dataset.users.items():
+                data.visits = payload["visits"][user_id]
+        return payload, seg_dataset, 0, None
 
     def compute(index: int, entry: SegmentEntry, loaded, lane_id: int):
-        if loaded[0] == "reused":
-            return {"reused": True, "payload": loaded[1], "dataset": loaded[2]}
-        _, seg_dataset, load_retries, degraded = loaded
+        payload, seg_dataset, load_retries, degraded = loaded
         outcome: Dict[str, Any] = {
-            "reused": False,
+            "reused": payload is not None,
+            "results": payload,
+            "users": (
+                seg_dataset.users
+                if keep_results and seg_dataset is not None
+                else None
+            ),
             "load_retries": load_retries,
-            "degraded_load": degraded,
+            "degraded": degraded,
             "delta": None,
             "base_s": 0.0,
+            "timings": RuntimeTimings(),
+            "health": RunHealth(),
         }
-        if degraded is not None:
-            outcome.update(
-                matching={}, labels={}, checkins={}, visits={}, users=None,
-                timings=RuntimeTimings(), health=RunHealth(),
-            )
+        if payload is not None:
             return outcome
-        seg_timings = RuntimeTimings()
-        seg_health = RunHealth()
-        outcome["timings"] = seg_timings
-        outcome["health"] = seg_health
-        exec_ = lane_execs[lane_id]
-        seg_plan = seg_plan_for(entry)
+        if degraded is not None:
+            outcome["results"] = {
+                "matching": {}, "labels": {}, "checkins": {}, "visits": {},
+            }
+            return outcome
+        exec_ = lane_execs[lane_id][0]
+        shards = shard_segment(
+            entry.user_ids,
+            entry.gps_counts,
+            entry.checkin_counts,
+            shard_count(exec_, entry.n_users),
+        )
 
         def run_stages():
             return _segment_results(
-                entry, seg_dataset, visit_config, match_config,
-                classify_config, exec_, seg_timings, resilience,
-                seg_plan, seg_health,
+                seg_dataset, visit_config, match_config, classify_config,
+                exec_, outcome["timings"], resilience, seg_plan_for(entry),
+                outcome["health"], shards,
             )
 
         if ctx.enabled:
             # A private context per segment: the parent context is not
             # thread-safe, and a fresh one gives the reducer a clean
-            # counter delta — exactly what the serial loop measures
-            # between its before/after snapshots.
+            # counter delta for the segment's checkpoint.
             seg_ctx = ObsContext(profile=ctx.profile_enabled)
             outcome["base_s"] = ctx.clock()
             with thread_activate(seg_ctx), seg_ctx.span(
@@ -952,183 +703,123 @@ def _validate_store_pipelined(
             outcome["delta"] = seg_ctx.delta()
         else:
             matching, classification = run_stages()
-        outcome["matching"] = matching.per_user
-        outcome["labels"] = classification.labels
-        outcome["checkins"] = classification.checkins
-        outcome["visits"] = {
-            user_id: data.visits for user_id, data in seg_dataset.users.items()
+        # Key order matters: this dict is the checkpoint payload.
+        outcome["results"] = {
+            "matching": matching.per_user,
+            "labels": classification.labels,
+            "checkins": classification.checkins,
+            "visits": {
+                user_id: data.visits
+                for user_id, data in seg_dataset.users.items()
+            },
         }
-        outcome["users"] = seg_dataset.users if keep_results else None
         return outcome
+
+    def reduce(index: int, entry: SegmentEntry, outcome) -> None:
+        results = outcome["results"]
+        if outcome["reused"]:
+            with ctx.span(
+                "store.segment",
+                segment=entry.segment_id,
+                users=entry.n_users,
+                reused=True,
+            ):
+                summary.segments_reused += 1
+                ctx.count("store.segments_reused", 1)
+                for name, delta in results["counters"].items():
+                    ctx.count(name, delta)
+                ctx.count("store.segments_total", 1)
+        else:
+            # Load-level recovery lands before the checkpoint snapshot,
+            # so recovery noise never pollutes checkpoint bytes.
+            if outcome["load_retries"]:
+                health.retries += outcome["load_retries"]
+                ctx.count("runtime.shard_retries", outcome["load_retries"])
+            degraded = outcome["degraded"]
+            if degraded is not None:
+                health.skipped.append(degraded)
+                ctx.count("runtime.shards_skipped", 1)
+            health.merge(outcome["health"])
+            summary.timings.stages.extend(outcome["timings"].stages)
+            if checkpoints is not None and degraded is None:
+                before = ctx.metrics.snapshot()["counters"] if ctx.enabled else {}
+                seg_counters = (
+                    outcome["delta"]["metrics"]["counters"]
+                    if outcome["delta"] is not None
+                    else {}
+                )
+                # A segment counter survives if it is new or changed the
+                # cumulative value (new-but-zero keys included), so
+                # replay recreates the exact key set.
+                results["counters"] = {
+                    name: value
+                    for name, value in seg_counters.items()
+                    if name not in before or value != 0
+                }
+                checkpoints.save(entry, checkpoint_key, results)
+            if outcome["delta"] is not None:
+                ctx.absorb(
+                    outcome["delta"],
+                    parent_id=pipeline_span.span_id,
+                    base_s=outcome["base_s"],
+                )
+            ctx.count("store.segments_total", 1)
+        summary.add_segment(entry.user_ids, results)
+        if keep_results:
+            merger.absorb(results["matching"])
+            labels.update(results["labels"])
+            checkins.update(results["checkins"])
+            if outcome["users"] is not None:
+                users.update(outcome["users"])
+        if prog is not None:
+            prog.update(entry.n_users, reused=outcome["reused"])
+        if live is not None:
+            live.set_gauge("store.segments_done", float(index + 1))
+            live.set_gauge("store.users_done", float(len(summary.visit_counts)))
+            live.inc("store.users_done_total", entry.n_users)
+
+    def on_progress(snap: Dict[str, Any]) -> None:
+        # Reducer-thread callback from run_pipelined: publish the
+        # scheduler's live efficiency figures to the sampler bag.
+        live.set_gauge("store.inflight_segments", float(snap["inflight"]))
+        live.set_gauge("store.prefetch_overlap", float(snap["overlap"]))
+        live.set_gauge("store.prefetch_stalls", float(snap["stalls"]))
+        live.set_gauge("store.reduce_wait_s", snap["reduce_wait_s"])
 
     try:
         with activate(ctx), ctx.span(
             "pipeline.validate",
             dataset=store.name,
             users=store.n_users,
-            workers=lane_execs[0].workers,
+            workers=lane_execs[0][0].workers,
             segments=len(store.segments),
         ) as pipeline_span:
             ctx.set_gauge("store.inflight_segments", float(inflight))
-
-            def reduce(index: int, entry: SegmentEntry, outcome) -> None:
-                if outcome["reused"]:
-                    with ctx.span(
-                        "store.segment",
-                        segment=entry.segment_id,
-                        users=entry.n_users,
-                        reused=True,
-                    ):
-                        agg.segments_reused += 1
-                        ctx.count("store.segments_reused", 1)
-                        for name, delta in outcome["payload"]["counters"].items():
-                            ctx.count(name, delta)
-                        ctx.count("store.segments_total", 1)
-                    payload = outcome["payload"]
-                    seg_users = (
-                        outcome["dataset"].users
-                        if outcome["dataset"] is not None
-                        else None
-                    )
-                    agg.add_segment(
-                        entry, payload["matching"], payload["labels"],
-                        payload["checkins"], payload["visits"], seg_users,
-                    )
-                else:
-                    # Load-level recovery lands before the checkpoint
-                    # snapshot, same as the serial loop.
-                    if outcome["load_retries"]:
-                        health.retries += outcome["load_retries"]
-                        ctx.count(
-                            "runtime.shard_retries", outcome["load_retries"]
-                        )
-                    degraded = outcome["degraded_load"]
-                    if degraded is not None:
-                        health.skipped.append(degraded)
-                        ctx.count("runtime.shards_skipped", 1)
-                    seg_health = outcome["health"]
-                    health.retries += seg_health.retries
-                    health.timeouts += seg_health.timeouts
-                    health.pool_rebuilds += seg_health.pool_rebuilds
-                    health.serial_fallbacks += seg_health.serial_fallbacks
-                    health.skipped.extend(seg_health.skipped)
-                    timings.stages.extend(outcome["timings"].stages)
-                    save = checkpoints is not None and degraded is None
-                    before = (
-                        dict(ctx.metrics.snapshot()["counters"])
-                        if ctx.enabled and save
-                        else {}
-                    )
-                    if save:
-                        seg_counters = (
-                            outcome["delta"]["metrics"]["counters"]
-                            if outcome["delta"] is not None
-                            else {}
-                        )
-                        # Identical bytes to the serial loop's
-                        # before/after rule: a segment counter survives
-                        # if it is new or changed the cumulative value.
-                        deltas = {
-                            name: value
-                            for name, value in seg_counters.items()
-                            if name not in before or value != 0
-                        }
-                        checkpoints.save(
-                            entry,
-                            checkpoint_key,
-                            _checkpoint_payload(
-                                outcome["matching"], outcome["labels"],
-                                outcome["checkins"], outcome["visits"],
-                                deltas,
-                            ),
-                        )
-                    if outcome["delta"] is not None:
-                        ctx.absorb(
-                            outcome["delta"],
-                            parent_id=pipeline_span.span_id,
-                            base_s=outcome["base_s"],
-                        )
-                    ctx.count("store.segments_total", 1)
-                    agg.add_segment(
-                        entry, outcome["matching"], outcome["labels"],
-                        outcome["checkins"], outcome["visits"],
-                        outcome["users"],
-                    )
-                if prog is not None:
-                    prog.update(entry.n_users, reused=outcome["reused"])
-                if live is not None:
-                    done["segments"] += 1
-                    done["users"] += entry.n_users
-                    live.set_gauge(
-                        "store.segments_done", float(done["segments"])
-                    )
-                    live.set_gauge("store.users_done", float(done["users"]))
-                    live.inc("store.users_done_total", entry.n_users)
-
-            done = {"segments": 0, "users": 0}
-
-            def on_progress(snap: Dict[str, Any]) -> None:
-                # Reducer-thread callback from run_pipelined: publish the
-                # scheduler's live efficiency figures to the sampler bag.
-                live.set_gauge("store.inflight_segments", float(snap["inflight"]))
-                live.set_gauge("store.prefetch_overlap", float(snap["overlap"]))
-                live.set_gauge("store.prefetch_stalls", float(snap["stalls"]))
-                live.set_gauge("store.reduce_wait_s", snap["reduce_wait_s"])
-
             stats = run_pipelined(
                 store.segments, load, compute, reduce,
                 inflight=inflight, lanes=lanes,
                 on_progress=on_progress if live is not None else None,
             )
-            ctx.count("store.prefetch_overlap_total", stats["overlap"])
-            ctx.count("store.prefetch_stalls_total", stats["stalls"])
+            if inflight > 1:
+                # Window 1 runs inline: there is no prefetch to count.
+                ctx.count("store.prefetch_overlap_total", stats["overlap"])
+                ctx.count("store.prefetch_stalls_total", stats["stalls"])
             ctx.count("pipeline.runs_total", 1)
-            agg.set_headline_gauges(ctx, health)
+            set_headline_gauges(ctx, summary, health)
     finally:
-        for exec_ in lane_execs:
-            exec_.close()
+        for exec_, owned in lane_execs:
+            if owned:
+                exec_.close()
         if prog is not None:
             prog.close()
-    return _store_result(
-        store, agg, match_config, classify_config, timings, health,
-        keep_results,
-    )
-
-
-def _store_result(
-    store: StudyStore,
-    agg: _StoreAggregate,
-    match_config: MatchConfig,
-    classify_config: ClassifyConfig,
-    timings: RuntimeTimings,
-    health: RunHealth,
-    keep_results: bool,
-) -> Union[ValidationSummary, ValidationReport]:
-    """Materialise the run's return value from the reduce-side state."""
     if keep_results:
         return ValidationReport(
-            dataset=Dataset(
-                name=store.name, pois=store.load_pois(), users=agg.users
-            ),
-            matching=MatchingResult(
-                config=match_config, per_user=agg.merger.merged
-            ),
+            dataset=Dataset(name=store.name, pois=pois, users=users),
+            matching=MatchingResult(config=match_config, per_user=merger.merged),
             classification=ClassificationResult(
-                config=classify_config, labels=agg.labels, checkins=agg.checkins
+                config=classify_config, labels=labels, checkins=checkins
             ),
-            timings=timings,
+            timings=summary.timings,
             health=health,
         )
-    return ValidationSummary(
-        name=store.name,
-        n_users=store.n_users,
-        n_segments=len(store.segments),
-        n_honest=agg.n_honest,
-        n_extraneous=agg.n_extraneous,
-        n_missing=agg.n_missing,
-        type_counts=agg.type_counts,
-        visit_counts=agg.visit_counts,
-        timings=timings,
-        health=health,
-        segments_reused=agg.segments_reused,
-    )
+    return summary

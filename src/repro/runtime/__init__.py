@@ -70,7 +70,7 @@ from .resilience import (
     run_shards_resilient,
 )
 from .ingest import IngestPool
-from .schedule import run_pipelined
+from .schedule import inflight_window, run_pipelined
 from .sharding import (
     GPS_SAMPLES_PER_VISIT,
     Shard,
@@ -107,6 +107,7 @@ __all__ = [
     "StreamMerger",
     "WorkUnitError",
     "available_workers",
+    "inflight_window",
     "merge_user_maps",
     "pre_extraction_weight",
     "resolve_executor",

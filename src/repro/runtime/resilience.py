@@ -142,6 +142,14 @@ class RunHealth:
             or self.serial_fallbacks
         )
 
+    def merge(self, other: "RunHealth") -> None:
+        """Fold another run's (e.g. one segment's) record into this one."""
+        self.retries += other.retries
+        self.timeouts += other.timeouts
+        self.pool_rebuilds += other.pool_rebuilds
+        self.serial_fallbacks += other.serial_fallbacks
+        self.skipped.extend(other.skipped)
+
     def skipped_user_ids(self, stage: Optional[str] = None) -> Tuple[str, ...]:
         """Users without results, optionally restricted to one stage."""
         return tuple(

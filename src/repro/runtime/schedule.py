@@ -20,6 +20,11 @@ compute.  :func:`run_pipelined` overlaps them while keeping the
   regardless of completion order — so merges, checkpoint writes, and
   counter absorption happen exactly as the serial loop would do them.
 
+A window of 1 has nothing to overlap, so it runs each item as
+``reduce(compute(load(item)))`` inline on the caller's thread and starts
+no threads; a wider window only adds the threads around the same three
+callbacks.
+
 Errors reproduce serial semantics: if item *i* fails (in ``load`` or
 ``compute``), items ``0..i-1`` are still reduced first, then the
 original exception propagates from :func:`run_pipelined` — exactly the
@@ -35,7 +40,32 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-__all__ = ["run_pipelined"]
+from .executor import available_workers
+
+__all__ = ["inflight_window", "run_pipelined"]
+
+
+def inflight_window(
+    inflight_segments: Optional[int], workers: Optional[int], n_items: int
+) -> int:
+    """How many items may be in flight (loaded or computing) at once.
+
+    An explicit ``inflight_segments`` must be ``>= 1`` and is capped at
+    the item count.  Otherwise a serial run (``workers`` ``None`` or
+    ``1``) gets window 1, and a parallel one is sized from the worker
+    count — enough items to hide load latency and stage-boundary pool
+    idling, capped so memory stays a small multiple of one item.
+    """
+    if inflight_segments is not None:
+        if inflight_segments < 1:
+            raise ValueError(
+                f"inflight_segments must be >= 1, got {inflight_segments}"
+            )
+        return min(inflight_segments, max(n_items, 1))
+    if workers is None or workers == 1:
+        return 1
+    effective = workers if workers > 0 else available_workers()
+    return max(1, min(n_items, min(effective, 4) + 1))
 
 #: Queue sentinel telling a lane thread to exit.
 _STOP = object()
@@ -125,6 +155,8 @@ def _lane(
             state.post(index, ("err", exc))
         else:
             state.post(index, ("ok", result))
+        # An idle lane must not keep its last item alive past its reduce.
+        unit = loaded = result = None
 
 
 class _Cancelled(Exception):
@@ -148,6 +180,8 @@ def run_pipelined(
     ``reduce(index, item, result)`` runs on the calling thread, strictly
     in index order.  The first failing item's exception propagates after
     every earlier item has been reduced; later items are discarded.
+    At ``inflight == 1`` all three run inline on the calling thread
+    (lane 0) and no thread is started.
 
     ``on_progress``, if given, is called on the calling thread after each
     successful ``reduce`` with a live snapshot of the stats dict plus
@@ -163,6 +197,14 @@ def run_pipelined(
     """
     if inflight < 1:
         raise ValueError(f"inflight must be >= 1, got {inflight}")
+    stats: Dict[str, Any] = {"overlap": 0, "stalls": 0, "reduce_wait_s": 0.0}
+    if inflight == 1:
+        for index, item in enumerate(items):
+            reduce(index, item, compute(index, item, load(index, item), 0))
+            stats["overlap"] += 1
+            _report(on_progress, stats, index + 1, 0)
+        stats["prefetch_stall_s"] = 0.0
+        return stats
     lanes = max(1, min(lanes, inflight, len(items) or 1))
     state = _State()
     slots = threading.Semaphore(inflight)
@@ -187,7 +229,6 @@ def run_pipelined(
     for thread in threads:
         thread.start()
     failure: Optional[BaseException] = None
-    stats: Dict[str, Any] = {"overlap": 0, "stalls": 0, "reduce_wait_s": 0.0}
     try:
         for index, item in enumerate(items):
             if state.ready(index):
@@ -205,14 +246,10 @@ def run_pipelined(
                 reduce(index, item, value)
             finally:
                 slots.release()
-            if on_progress is not None:
-                snapshot = dict(stats)
-                snapshot["done"] = index + 1
-                snapshot["inflight"] = max(0, state.loaded - (index + 1))
-                try:
-                    on_progress(snapshot)
-                except Exception:  # noqa: BLE001 - progress is best-effort
-                    pass
+            _report(
+                on_progress, stats, index + 1,
+                max(0, state.loaded - (index + 1)),
+            )
     finally:
         state.stop.set()
         # Unblock a prefetch thread parked on the semaphore, then drain.
@@ -223,3 +260,19 @@ def run_pipelined(
     if failure is not None:
         raise failure
     return stats
+
+
+def _report(
+    on_progress: Optional[Callable[[Dict[str, Any]], None]],
+    stats: Dict[str, Any],
+    done: int,
+    inflight: int,
+) -> None:
+    """Hand ``on_progress`` a snapshot; its exceptions are swallowed."""
+    if on_progress is None:
+        return
+    snapshot = dict(stats, done=done, inflight=inflight)
+    try:
+        on_progress(snapshot)
+    except Exception:  # noqa: BLE001 - progress is best-effort
+        pass

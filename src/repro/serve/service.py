@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..core import build_poi_index, format_summary
+from ..core import HeadlineCounts, build_poi_index, set_headline_gauges
 from ..model import EXTRANEOUS_TYPES, CheckinType, Poi
 from ..obs import config_hash, fingerprint_from_counts
 from ..obs import current as obs_current
@@ -147,54 +147,23 @@ class ServeTelemetry:
 
 
 @dataclass
-class ServeSummary:
+class ServeSummary(HeadlineCounts):
     """Aggregates of a completed serving session.
 
-    Field-compatible with the batch/streamed summaries where it counts
-    the same things; :meth:`summary` renders the identical text via the
-    shared formatter, and :attr:`fingerprint` is the post-extraction
-    dataset fingerprint a batch run of the same study would record.
+    Shares the batch/streamed summaries' :class:`HeadlineCounts` base, so
+    :meth:`summary` renders the identical text, and :attr:`fingerprint`
+    is the post-extraction dataset fingerprint a batch run of the same
+    study would record.
     """
 
-    name: str
     n_users: int
     n_events: int
     n_chunks: int
-    n_honest: int
-    n_extraneous: int
-    n_missing: int
     n_verdicts: int
-    type_counts: Dict[CheckinType, int]
     #: Per-user extracted-visit count, in registration order.
     visit_counts: Dict[str, int] = field(default_factory=dict)
     #: Post-extraction dataset fingerprint (batch-identical).
     fingerprint: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def n_checkins(self) -> int:
-        return self.n_honest + self.n_extraneous
-
-    @property
-    def n_visits(self) -> int:
-        return self.n_honest + self.n_missing
-
-    def extraneous_fraction(self) -> float:
-        return self.n_extraneous / self.n_checkins if self.n_checkins else 0.0
-
-    def coverage_fraction(self) -> float:
-        return self.n_honest / self.n_visits if self.n_visits else 0.0
-
-    def summary(self) -> str:
-        """Identical text to :meth:`ValidationReport.summary`."""
-        return format_summary(
-            self.name,
-            self.n_checkins,
-            self.n_visits,
-            self.n_honest,
-            self.n_extraneous,
-            self.n_missing,
-            self.type_counts,
-        )
 
 
 class ValidationService:
@@ -494,26 +463,27 @@ class ValidationService:
                 n_checkins += state.n_checkins
                 n_chunks += state.n_chunks
             type_counts[CheckinType.HONEST] = n_honest
+            summary = ServeSummary(
+                name=self.name,
+                n_honest=n_honest,
+                n_extraneous=n_extraneous,
+                n_missing=n_missing,
+                type_counts=type_counts,
+                n_users=len(self._states),
+                n_events=self._cursor,
+                n_chunks=n_chunks,
+                n_verdicts=self._verdicts_total,
+                visit_counts=visit_counts,
+            )
             ctx.count("pipeline.runs_total", 1)
-            # Same integer operands as MatchingResult's fractions, so
-            # the gauges compare equal bit for bit.
-            total_checkins = n_honest + n_extraneous
-            total_visits = n_honest + n_missing
-            ctx.set_gauge(
-                "matching.extraneous_fraction",
-                n_extraneous / total_checkins if total_checkins else 0.0,
-            )
-            ctx.set_gauge(
-                "matching.missing_fraction",
-                1.0 - (n_honest / total_visits if total_visits else 0.0),
-            )
+            set_headline_gauges(ctx, summary)
             ctx.count("serve.users_total", len(self._states))
             ctx.count("serve.events_total", self._cursor)
             ctx.count("serve.gps_total", n_gps)
             ctx.count("serve.checkins_total", n_checkins)
             ctx.count("serve.chunks_total", n_chunks)
             ctx.count("serve.verdicts_total", self._verdicts_total)
-        fingerprint = fingerprint_from_counts(
+        summary.fingerprint = fingerprint_from_counts(
             self.name,
             self._n_pois,
             (
@@ -521,19 +491,7 @@ class ValidationService:
                 for user_id, state in self._states.items()
             ),
         )
-        return ServeSummary(
-            name=self.name,
-            n_users=len(self._states),
-            n_events=self._cursor,
-            n_chunks=n_chunks,
-            n_honest=n_honest,
-            n_extraneous=n_extraneous,
-            n_missing=n_missing,
-            n_verdicts=self._verdicts_total,
-            type_counts=type_counts,
-            visit_counts=visit_counts,
-            fingerprint=fingerprint,
-        )
+        return summary
 
     # -- context manager ---------------------------------------------------
 

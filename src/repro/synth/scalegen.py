@@ -11,8 +11,9 @@ and tight enough that stay-point extraction finds visits and matching
 finds both honest and extraneous checkins, so a scale run exercises the
 same code paths as a real study — just not the paper's distributions.
 
-Never used for fidelity results; only ``benchmarks/`` and
-``tools/scale_bench.py`` should import it.
+Never used for fidelity results; only ``benchmarks/``,
+``tools/scale_bench.py`` and tests that need a many-segment store
+cheaply should import it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,12 @@ import numpy as np
 
 from ..model import Dataset, Poi, UserData
 from ..obs import current as obs_current
-from ..runtime import ParallelExecutor, available_workers, run_pipelined
+from ..runtime import (
+    ParallelExecutor,
+    available_workers,
+    inflight_window,
+    run_pipelined,
+)
 from ..runtime.executor import _Instrumented
 from ..store import DEFAULT_SEGMENT_USERS, StudyStore, StudyStoreWriter
 from .checkins import generate_checkins
@@ -191,14 +196,7 @@ def _generate_store_parallel(
         for start in range(0, len(plan.user_ids), step)
     ]
     effective = workers if workers > 0 else available_workers()
-    if inflight_segments is not None:
-        if inflight_segments < 1:
-            raise ValueError(
-                f"inflight_segments must be >= 1, got {inflight_segments}"
-            )
-        inflight = min(inflight_segments, max(len(chunks), 1))
-    else:
-        inflight = max(1, min(len(chunks), min(effective, 4) + 1))
+    inflight = inflight_window(inflight_segments, workers, len(chunks))
     executor = ParallelExecutor(workers=workers if workers > 0 else None)
     # Warm the pool from this thread: lane threads may otherwise race
     # the lazy first-submit pool construction.

@@ -18,7 +18,8 @@ import pytest
 from repro.runtime import run_pipelined
 
 
-def test_reduce_runs_in_order_on_caller_thread():
+@pytest.mark.parametrize("inflight", [1, 2])
+def test_reduce_runs_in_order_on_caller_thread(inflight):
     items = list(range(8))
     reduced = []
     caller = threading.get_ident()
@@ -32,12 +33,44 @@ def test_reduce_runs_in_order_on_caller_thread():
             reduced.append((i, result)),
             reducer_threads.add(threading.get_ident()),
         ),
-        inflight=3,
+        inflight=inflight,
         lanes=2,
     )
     assert reduced == [(i, i * 10 + 1) for i in items]
     assert reducer_threads == {caller}
     assert stats["overlap"] + stats["stalls"] == len(items)
+
+
+def test_window_one_runs_inline_without_threads(monkeypatch):
+    """Window 1 has nothing to overlap: every stage runs on the caller's
+    thread and the scheduler starts no threads at all."""
+    caller = threading.get_ident()
+    stage_threads = set()
+
+    def refuse_start(self):
+        raise AssertionError(f"window 1 started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse_start)
+
+    def load(i, item):
+        stage_threads.add(("load", threading.get_ident()))
+        return item
+
+    def compute(i, item, loaded, lane):
+        stage_threads.add(("compute", threading.get_ident()))
+        return loaded
+
+    reduced = []
+    run_pipelined(
+        list(range(4)),
+        load=load,
+        compute=compute,
+        reduce=lambda i, item, result: reduced.append(result),
+        inflight=1,
+        lanes=2,
+    )
+    assert reduced == [0, 1, 2, 3]
+    assert stage_threads == {("load", caller), ("compute", caller)}
 
 
 def test_results_ordered_even_when_completion_is_reversed():
@@ -93,7 +126,8 @@ def test_inflight_bounds_loaded_but_unreduced_items():
     assert peak <= inflight
 
 
-def test_failure_reduces_prefix_then_raises():
+@pytest.mark.parametrize("inflight", [1, 2])
+def test_failure_reduces_prefix_then_raises(inflight):
     class Boom(RuntimeError):
         pass
 
@@ -110,7 +144,7 @@ def test_failure_reduces_prefix_then_raises():
             load=lambda i, item: item,
             compute=compute,
             reduce=lambda i, item, result: reduced.append(i),
-            inflight=2,
+            inflight=inflight,
             lanes=1,
         )
     assert reduced == [0, 1, 2]
@@ -199,7 +233,8 @@ def test_stats_account_every_item():
     assert stats["prefetch_stall_s"] >= 0.0
 
 
-def test_on_progress_called_per_reduce_with_done_and_inflight():
+@pytest.mark.parametrize("inflight", [1, 2])
+def test_on_progress_called_per_reduce_with_done_and_inflight(inflight):
     n = 6
     snapshots = []
     caller = threading.get_ident()
@@ -214,7 +249,7 @@ def test_on_progress_called_per_reduce_with_done_and_inflight():
         load=lambda i, item: item,
         compute=lambda i, item, loaded, lane: loaded,
         reduce=lambda i, item, result: None,
-        inflight=2,
+        inflight=inflight,
         lanes=2,
         on_progress=on_progress,
     )
@@ -223,7 +258,7 @@ def test_on_progress_called_per_reduce_with_done_and_inflight():
     for snapshot in snapshots:
         # In-flight = loaded but not yet reduced; never negative, never
         # beyond the configured window.
-        assert 0 <= snapshot["inflight"] <= 2
+        assert 0 <= snapshot["inflight"] <= inflight
         assert snapshot["overlap"] + snapshot["stalls"] == snapshot["done"]
     assert snapshots[-1]["inflight"] == 0
 

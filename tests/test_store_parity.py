@@ -12,7 +12,9 @@ equal, and checkpoint replay reproduces the same bytes again.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,8 @@ from repro.cli import main
 from repro.core import VisitConfig, validate, validate_store
 from repro.io import load_dataset, load_dataset_into_store
 from repro.obs import ObsContext, RunManifest, activate
+from repro.store import StudyStore
+from repro.synth.scalegen import generate_scale_store
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden_study"
 
@@ -31,6 +35,27 @@ SEGMENT_USERS = 1
 #: Manifest counters that describe results (not runtime mechanics);
 #: these must be identical between the memory and disk paths.
 SEMANTIC_PREFIXES = ("extract.", "matching.", "classify.", "pipeline.")
+
+
+#: Every counter a window-1 disk run records on the golden store.  The
+#: scheduler's ``store.prefetch_*`` counters are absent: at window 1
+#: nothing is prefetched, so there is no overlap or stall to count.
+WINDOW_ONE_COUNTERS = [
+    "classify.driveby_total", "classify.extraneous_total",
+    "classify.other_total", "classify.remote_total",
+    "classify.superfluous_total", "classify.users_total",
+    "extract.gps_points_total", "extract.users_total", "extract.visits_total",
+    "matching.extraneous_total", "matching.honest_total",
+    "matching.missing_total", "matching.rematch_rounds",
+    "matching.rounds_total", "matching.tie_losers_total",
+    "matching.users_total", "pipeline.runs_total",
+    "runtime.merged_users_total", "runtime.shards_total",
+    "runtime.stages_total", "store.segments_total",
+]
+WINDOW_ONE_GAUGES = [
+    "matching.extraneous_fraction", "matching.missing_fraction",
+    "store.inflight_segments",
+]
 
 
 def semantic_metrics(manifest: RunManifest):
@@ -290,3 +315,67 @@ class TestPipelinedParity:
         with pytest.raises(RuntimeConfigError, match="in-flight"):
             validate_store(store, executor=SerialExecutor(),
                            inflight_segments=2)
+
+    def test_window_one_manifest_names_are_pinned(self, store, tmp_path):
+        """A window-1 run records exactly the serial walk's metric names,
+        cold and when replaying checkpoints."""
+        ckpt = tmp_path / "ckpt"
+
+        def names():
+            ctx = ObsContext()
+            with activate(ctx):
+                validate_store(store, inflight_segments=1, checkpoints=ckpt)
+            snapshot = ctx.metrics.snapshot()
+            return sorted(snapshot["counters"]), sorted(snapshot["gauges"])
+
+        assert names() == (WINDOW_ONE_COUNTERS, WINDOW_ONE_GAUGES)
+        assert names() == (
+            sorted(WINDOW_ONE_COUNTERS + ["store.segments_reused"]),
+            WINDOW_ONE_GAUGES,
+        )
+
+
+class TestSegmentLiveness:
+    """A reduced segment's data is released before later loads start.
+
+    Peak memory is ``baseline + window × segment`` only if nothing keeps
+    a segment's :class:`Dataset` alive past its reduce.  Weak references
+    to every dataset ``load_segment`` returns show which earlier
+    segments are still reachable when each load starts: at window *W*
+    only the *W − 1* loaded-but-unreduced predecessors may be.
+    """
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        return generate_scale_store(
+            tmp_path_factory.mktemp("liveness") / "store",
+            n_users=8, segment_users=1, points_per_user=72,
+            checkins_per_user=4, n_pois=40,
+        )
+
+    @pytest.mark.parametrize("inflight", [1, 3])
+    def test_no_reduced_segment_alive_at_next_load(
+        self, store, monkeypatch, inflight
+    ):
+        original = StudyStore.load_segment
+        refs = []
+        alive_at_load = []
+
+        def tracking_load(self, entry, *args, **kwargs):
+            gc.collect()
+            alive_at_load.append(
+                [index for index, ref in enumerate(refs) if ref() is not None]
+            )
+            dataset = original(self, entry, *args, **kwargs)
+            refs.append(weakref.ref(dataset))
+            return dataset
+
+        monkeypatch.setattr(StudyStore, "load_segment", tracking_load)
+        validate_store(store, inflight_segments=inflight)
+        assert len(alive_at_load) == len(store.segments)
+        for index, alive in enumerate(alive_at_load):
+            assert all(earlier > index - inflight for earlier in alive), (
+                f"load {index} started with segments {alive} still alive"
+            )
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
