@@ -47,7 +47,7 @@ Live telemetry: ``validate`` and ``serve`` accept ``--telemetry DIR``
 ``--telemetry-interval`` seconds) and ``--metrics-port PORT`` (an
 OpenMetrics endpoint at ``http://127.0.0.1:PORT/metrics``, ``0`` picks
 an ephemeral port).  ``monitor <dir|url>`` tails either into a
-rate-computing TTY dashboard (lanes, events/s, watermark lag, RSS,
+rate-computing TTY dashboard (events/s, watermark lag, RSS,
 ETA); both are strictly no-op when the flags are absent and never
 change the run's output bytes.
 
@@ -530,7 +530,7 @@ def _write_obs_artifacts(
             dataset=dataset,
             configs=configs,
             seeds=seeds,
-            workers=args.workers,
+            workers=getattr(args, "workers", None),
             timings=timings,
             metrics=ctx.metrics.snapshot(),
             extra=extra,
@@ -617,7 +617,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--quiet", action="store_true",
                      help="suppress the live event progress line "
                           "(it is TTY-only regardless)")
-    _add_workers_flag(srv)
     _add_kernel_flag(srv)
     _add_obs_flags(srv)
     _add_telemetry_flags(srv)
@@ -992,7 +991,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 dataset.pois,
                 serve_config,
                 name=dataset.name,
-                workers=args.workers,
                 state_store=args.checkpoint_dir,
                 checkpoint_every=(
                     args.checkpoint_every if args.checkpoint_dir else None
@@ -1028,7 +1026,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if skip:
             print(f"resumed from snapshot at event {skip}")
         extra["serve"] = {
-            "workers": service.workers,
             "events": summary.n_events,
             "fed": fed,
             "chunks": summary.n_chunks,

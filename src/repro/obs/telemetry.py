@@ -23,8 +23,8 @@ merges them per tick.  A collector that raises is counted
 Metric family naming convention (DESIGN §12): internal dotted names map
 to OpenMetrics families as ``repro_`` + dots→underscores; a per-series
 label suffix rides in the JSON key as ``name{label=value}``, e.g.
-``serve.lane_queue_depth{lane=3}`` →
-``repro_serve_lane_queue_depth{lane="3"}``.  Counters must end in
+``job.items_total{shard=3}`` →
+``repro_job_items_total{shard="3"}``.  Counters must end in
 ``_total``; histogram summaries expose ``{quantile="..."}`` series plus
 ``_count``/``_sum``.  :func:`parse_openmetrics` round-trips the
 rendered text (pinned by ``tests/test_obs_telemetry.py``).
@@ -550,18 +550,6 @@ def sample_rates(
     }
 
 
-def _group_by_label(
-    section: Dict[str, Any], label: str
-) -> Dict[str, Dict[str, Any]]:
-    """``{label_value: {base_name: value}}`` for one metrics section."""
-    grouped: Dict[str, Dict[str, Any]] = {}
-    for key, value in section.items():
-        name, labels = split_series(key)
-        if label in labels:
-            grouped.setdefault(labels[label], {})[name] = value
-    return grouped
-
-
 def _human_count(value: float) -> str:
     return f"{value:,.0f}"
 
@@ -580,7 +568,7 @@ def format_dashboard(
     """Render one status sample as the ``monitor`` TTY dashboard.
 
     Sections appear only when their metric families are present, so the
-    same renderer serves a ``serve`` replay (lanes, watermarks,
+    same renderer serves a ``serve`` replay (events, watermark,
     verdicts) and a batch ``validate --store disk`` run (segments,
     prefetch).  ``previous`` feeds the counter-rate column.
     """
@@ -617,20 +605,6 @@ def format_dashboard(
                 f"   backlog {_human_count(gauges.get('serve.backlog_events', 0))}"
                 " events"
             )
-        lanes = _group_by_label(gauges, "lane")
-        if lanes:
-            lines.append(
-                "  lane       depth    backlog     watermark       lag"
-            )
-            for lane in sorted(lanes, key=lambda value: int(value)):
-                row = lanes[lane]
-                lines.append(
-                    f"  {lane:>4}"
-                    f"  {row.get('serve.lane_queue_depth', 0):>10,.0f}"
-                    f"  {row.get('serve.lane_backlog_events', 0):>9,.0f}"
-                    f"  {row.get('serve.lane_watermark_s', 0):>12,.1f}"
-                    f"  {row.get('serve.lane_watermark_lag_s', 0):>8,.1f}"
-                )
     segments_done = gauges.get("store.segments_done")
     if segments_done is not None:
         total = gauges.get("store.segments_planned", 0)

@@ -20,9 +20,6 @@ and merges results back deterministically:
   the test suite and ``repro-study validate --inject-faults``;
 * :mod:`repro.runtime.timing` — per-shard/stage timings surfaced as
   ``ValidationReport.timings`` and persisted by the scaling bench;
-* :mod:`repro.runtime.ingest` — FIFO thread lanes for the streaming
-  validation service (per-user single-writer ordering at any lane
-  count);
 * :mod:`repro.runtime.schedule` — the pipelined segment scheduler
   (:func:`run_pipelined`): bounded prefetch + lane threads + in-order
   reducer, used by the out-of-core ``validate_store`` and parallel
@@ -69,7 +66,6 @@ from .resilience import (
     RunHealth,
     run_shards_resilient,
 )
-from .ingest import IngestPool
 from .schedule import inflight_window, run_pipelined
 from .sharding import (
     GPS_SAMPLES_PER_VISIT,
@@ -91,7 +87,6 @@ __all__ = [
     "DegradedResult",
     "FaultPlan",
     "FaultSpec",
-    "IngestPool",
     "InjectedCrash",
     "InjectedFault",
     "ParallelExecutor",

@@ -11,22 +11,23 @@ byte-identical to a batch run over the same data:
   that runs the unchanged batch kernels incrementally;
 * :mod:`repro.serve.snapshot` — crash-consistent two-slot state
   snapshots on the checkpoint machinery;
-* :mod:`repro.serve.service` — the service: thread lanes, verdict
-  sink, snapshots/restore, batch-identical summary and metrics.
+* :mod:`repro.serve.service` — the service: single-threaded inline
+  ingest, verdict sink, snapshots/restore, batch-identical summary and
+  metrics.
 
 Quickstart::
 
     from repro.serve import ValidationService
     from repro.synth import replay_events
 
-    service = ValidationService(dataset.pois, name=dataset.name, workers=4)
+    service = ValidationService(dataset.pois, name=dataset.name)
     for event in replay_events(dataset):     # or a live feed
         service.ingest(event)
     summary = service.finish()
     print(summary.summary())                 # identical to validate()
 
-CLI: ``repro-study serve`` (see ``--help``); bench:
-``tools/serve_bench.py`` → ``BENCH_serving.json``.
+CLI: ``repro-study serve`` (see ``--help``); benchmark: the
+``serve_replay`` workload of ``perfbench/run.py``.
 """
 
 from .engine import SERVE_STATE_FORMAT, ServeConfig, StreamEngine, UserStreamState

@@ -23,8 +23,8 @@ The engine buffers pending events per user, cuts settled chunks as gaps
 open up, and runs the *unchanged* batch kernels
 (:func:`repro.core.extract_visits` with a carried-over visit counter,
 :func:`repro.core.match_user`, per-user classification) on each chunk.
-Semantic counters accumulate in plain per-user dicts — worker threads
-never touch the ambient obs context — and are folded into the service's
+Semantic counters accumulate in plain per-user dicts — the engine never
+touches the ambient obs context — and are folded into the service's
 context at finish time with the exact key-creation behaviour of the
 batch path.
 
@@ -150,7 +150,7 @@ class StreamEngine:
 
     Stateless apart from config and the shared (read-only) POI grid;
     all mutable state lives in :class:`UserStreamState`, so one engine
-    serves every lane thread without locking.
+    serves every user.
     """
 
     def __init__(self, config: Optional[ServeConfig], poi_index: GridIndex) -> None:

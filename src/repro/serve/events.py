@@ -16,6 +16,7 @@ overlap is byte-identical (see ``tests/test_runtime_faults.py``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
@@ -33,7 +34,8 @@ class StreamEvent:
     ``register`` announces a user (must precede their first trace
     event); ``gps`` carries one fix at ``(x, y)``; ``checkin`` carries a
     full :class:`repro.model.Checkin`.  ``t`` is the *event* time (the
-    fix or checkin timestamp), ``None`` for registrations.
+    fix or checkin timestamp), ``None`` for registrations.  A trace
+    event whose time or position is NaN or infinite is rejected.
     """
 
     kind: str
@@ -52,6 +54,18 @@ class StreamEvent:
             raise ValueError(f"{self.kind} event needs a timestamp")
         if self.kind == "checkin" and self.checkin is None:
             raise ValueError("checkin event needs a checkin record")
+        if self.kind != "register":
+            where = self if self.kind == "gps" else self.checkin
+            if not (
+                math.isfinite(self.t)
+                and math.isfinite(where.x)
+                and math.isfinite(where.y)
+            ):
+                raise ValueError(
+                    f"{self.kind} event for user {self.user_id!r} has a "
+                    f"non-finite field (t={self.t!r}, x={where.x!r}, "
+                    f"y={where.y!r})"
+                )
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe record (inverse of :func:`event_from_dict`)."""

@@ -3,19 +3,17 @@
 :class:`ValidationService` wraps the per-user :class:`StreamEngine` with
 everything a server needs:
 
-* **lanes** — at ``workers > 1`` events fan out over an
-  :class:`repro.runtime.IngestPool`; every user is pinned to lane
-  ``registration_index % workers``, so per-user state stays
-  single-writer and per-user verdict order is deterministic at any lane
-  count.  ``workers <= 1`` ingests inline (no threads);
+* **inline ingest** — every event runs on the caller's thread, so
+  per-user state has a single writer and the verdict stream's order is
+  deterministic across users; the service starts no threads;
 * **verdict sink** — settled verdicts reach the caller through a
-  callback (or pile up in :attr:`verdicts`), serialised under one lock;
+  callback (or pile up in :attr:`verdicts`) in emission order;
 * **snapshots** — with a :class:`repro.serve.snapshot.ServeStateStore`
   armed, state persists every ``checkpoint_every`` events (and on
   demand); :meth:`restore` brings a fresh service back to the snapshot
   and tells the caller which event to resume feeding from;
 * **observability** — semantic counters accumulate in per-user dicts
-  off-thread and fold into the service's obs context at
+  and fold into the service's obs context at
   :meth:`finish`, reproducing the batch run's counter/gauge/histogram
   payload exactly, plus ``serve.*`` counters for the serving mechanics.
 
@@ -28,7 +26,6 @@ summary text and dataset fingerprint, byte for byte.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -37,113 +34,59 @@ from ..core import HeadlineCounts, build_poi_index, set_headline_gauges
 from ..model import EXTRANEOUS_TYPES, CheckinType, Poi
 from ..obs import config_hash, fingerprint_from_counts
 from ..obs import current as obs_current
-from ..obs.metrics import Histogram
-from ..runtime import IngestPool, available_workers
 from .engine import ServeConfig, StreamEngine, UserStreamState
 from .events import StreamEvent, Verdict
 from .snapshot import ServeStateStore
 
 
 class ServeTelemetry:
-    """Live serving instruments: per-lane watermarks, queue depth and
-    settlement backlog, plus ingest/verdict throughput counters.
+    """Live serving instruments: the event-time watermark, the
+    settlement backlog and the ingest/verdict throughput counters.
 
-    Built for single-writer slots so the ingest hot path takes no lock:
-    the caller thread owns :attr:`events` and :attr:`watermark` (updated
-    at post time), each lane thread owns its :attr:`processed` and
-    :attr:`backlog` slot, and :attr:`verdicts` rides under the service's
-    existing emit lock.  :meth:`collect` (the sampler's collector
-    protocol) reads everything racily — instantaneous estimates are
-    exactly what backpressure gauges want.
+    The caller thread that ingests is the only writer of every slot, so
+    the hot path takes no lock; :meth:`collect` (the sampler's collector
+    protocol) reads the plain numbers racily from the sampler thread —
+    an instantaneous estimate is exactly what backpressure gauges want.
 
-    Event-time semantics (DESIGN §12): a lane's **watermark** is the
-    highest event time it has been fed.  ``serve.watermark_s`` is the
-    *minimum* over active lanes — the service's overall event-time
-    progress, since nothing older can still be pending everywhere.
-    ``serve.lane_watermark_lag_s`` is each lane's distance behind the
-    most advanced lane (skew ⇒ uneven user pinning), and
-    ``serve.watermark_wall_lag_s`` is wall-clock ``now`` minus the
-    watermark — how far behind reality the service's view is, meaningful
-    when events carry epoch timestamps (a replay of a synthetic timeline
-    reports its distance from the epoch instead).
+    Event-time semantics (DESIGN §12): the **watermark**
+    (``serve.watermark_s``) is the highest event time the service has
+    been fed, and ``serve.watermark_wall_lag_s`` is wall-clock ``now``
+    minus the watermark — how far behind reality the service's view
+    is, meaningful when events carry epoch timestamps (a replay of a
+    synthetic timeline reports its distance from the epoch instead).
     """
 
-    def __init__(
-        self, lanes: int, depths: Optional[Callable[[], List[int]]] = None
-    ) -> None:
-        self.lanes = lanes
-        self._depths = depths
-        self.events = [0] * lanes
-        self.processed = [0] * lanes
-        self.backlog = [0] * lanes
-        self.watermark = [-math.inf] * lanes
+    def __init__(self) -> None:
+        self.events = 0
+        self.backlog = 0
+        self.watermark = -math.inf
         self.verdicts = 0
-        #: Queue-depth observations per lane, appended once per sampler
-        #: tick (sampler thread is the single writer).
-        self.depth_samples = [
-            Histogram(f"serve.lane_queue_depth_samples{{lane={i}}}")
-            for i in range(lanes)
-        ]
 
-    # -- hot-path hooks (single writer per slot, no locks) -----------------
-
-    def note_event(self, lane: int, t: Optional[float]) -> None:
-        """Caller thread: one trace event posted to ``lane`` at time ``t``."""
-        self.events[lane] += 1
-        if t is not None and t > self.watermark[lane]:
-            self.watermark[lane] = t
-
-    def note_processed(self, lane: int, pending_delta: int) -> None:
-        """Lane thread: one event processed; backlog moved by ``delta``."""
-        self.processed[lane] += 1
-        self.backlog[lane] += pending_delta
-
-    def note_drained(self, lane: int, pending_delta: int) -> None:
-        """Lane thread: finalize drained ``delta`` pending events."""
-        self.backlog[lane] += pending_delta
-
-    # -- sampler collector -------------------------------------------------
+    def note_event(self, t: float, pending_delta: int) -> None:
+        """One trace event at time ``t`` moved the backlog by ``pending_delta``."""
+        self.events += 1
+        self.backlog += pending_delta
+        if t > self.watermark:
+            self.watermark = t
 
     def collect(self) -> Dict[str, Any]:
         """Metrics-shaped snapshot (the collector protocol of
         :class:`repro.obs.TelemetrySampler`)."""
-        counters: Dict[str, float] = {
-            "serve.events_ingested_total": float(sum(self.events)),
-            "serve.events_processed_total": float(sum(self.processed)),
-            "serve.verdicts_emitted_total": float(self.verdicts),
+        gauges: Dict[str, float] = {
+            "serve.backlog_events": float(max(self.backlog, 0)),
         }
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Any] = {}
-        depths = self._depths() if self._depths is not None else [0] * self.lanes
-        marks = list(self.watermark)
-        active = [m for m in marks if m != -math.inf]
-        max_mark = max(active) if active else None
-        total_backlog = 0
-        for lane in range(self.lanes):
-            label = f"{{lane={lane}}}"
-            counters[f"serve.lane_events_total{label}"] = float(self.events[lane])
-            counters[f"serve.lane_processed_total{label}"] = float(
-                self.processed[lane]
-            )
-            depth = depths[lane] if lane < len(depths) else 0
-            gauges[f"serve.lane_queue_depth{label}"] = float(depth)
-            hist = self.depth_samples[lane]
-            hist.observe(float(depth))
-            histograms[hist.name] = hist.summary()
-            backlog = max(self.backlog[lane], 0)
-            total_backlog += backlog
-            gauges[f"serve.lane_backlog_events{label}"] = float(backlog)
-            if marks[lane] != -math.inf:
-                gauges[f"serve.lane_watermark_s{label}"] = marks[lane]
-                gauges[f"serve.lane_watermark_lag_s{label}"] = (
-                    max_mark - marks[lane]
-                )
-        gauges["serve.backlog_events"] = float(total_backlog)
-        if active:
-            watermark = min(active)
+        watermark = self.watermark
+        if watermark != -math.inf:
             gauges["serve.watermark_s"] = watermark
             gauges["serve.watermark_wall_lag_s"] = time.time() - watermark
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {
+            "counters": {
+                "serve.events_ingested_total": float(self.events),
+                "serve.verdicts_emitted_total": float(self.verdicts),
+            },
+            "gauges": gauges,
+            "histograms": {},
+        }
 
 
 @dataclass
@@ -180,7 +123,6 @@ class ValidationService:
         config: Optional[ServeConfig] = None,
         *,
         name: str = "stream",
-        workers: Optional[int] = None,
         state_store: Optional[Union[str, ServeStateStore]] = None,
         checkpoint_every: Optional[int] = None,
         sink: Optional[Callable[[Verdict], None]] = None,
@@ -193,30 +135,15 @@ class ValidationService:
         self._engine = StreamEngine(self.config, build_poi_index(pois))
         self._obs = obs_current() if obs is None else obs
         self._sink = sink
-        if workers is None:
-            workers = 1
-        elif workers == 0:
-            workers = available_workers()
-        self.workers = workers
-        self._pool: Optional[IngestPool] = (
-            IngestPool(workers, name="serve") if workers > 1 else None
-        )
         # Disabled telemetry is strictly no hook object at all: the
         # ingest hot path branches on `is None` and allocates nothing.
         self._telemetry: Optional[ServeTelemetry] = (
-            ServeTelemetry(
-                workers,
-                depths=self._pool.depths if self._pool is not None else None,
-            )
-            if telemetry
-            else None
+            ServeTelemetry() if telemetry else None
         )
         self._states: Dict[str, UserStreamState] = {}
-        self._lanes: Dict[str, int] = {}
         self._cursor = 0
         self._generation = 0
         self._finished = False
-        self._lock = threading.Lock()
         self._verdicts_total = 0
         #: Settled verdicts per user, kept only when no sink is given.
         self.verdicts: Dict[str, List[Verdict]] = {}
@@ -248,29 +175,17 @@ class ValidationService:
                     "event before trace events"
                 ) from None
             tel = self._telemetry
-            if self._pool is None:
-                if tel is None:
-                    self._emit(self._engine.ingest(state, event))
-                else:
-                    tel.note_event(0, event.t)
-                    self._ingest_traced(0, state, event)
+            if tel is None:
+                self._emit(self._engine.ingest(state, event))
             else:
-                lane = self._lanes[event.user_id]
-                if tel is None:
-                    self._pool.post(
-                        lane,
-                        lambda s=state, e=event: self._emit(
-                            self._engine.ingest(s, e)
-                        ),
-                    )
-                else:
-                    tel.note_event(lane, event.t)
-                    self._pool.post(
-                        lane,
-                        lambda l=lane, s=state, e=event: self._ingest_traced(
-                            l, s, e
-                        ),
-                    )
+                # The pending-count delta around the engine call is this
+                # event's exact contribution to the settlement backlog:
+                # +1 while it waits for its chunk to seal, minus
+                # everything a settle scan drained.
+                before = state.pending_count()
+                verdicts = self._engine.ingest(state, event)
+                tel.note_event(event.t, state.pending_count() - before)
+                self._emit(verdicts)
         if (
             self._store is not None
             and self.checkpoint_every
@@ -282,41 +197,19 @@ class ValidationService:
         # Idempotent so a resumed feed may safely replay registrations.
         if user_id in self._states:
             return
-        self._lanes[user_id] = len(self._states) % self.workers
         self._states[user_id] = self._engine.new_state(user_id)
-
-    def _ingest_traced(
-        self, lane: int, state: UserStreamState, event: StreamEvent
-    ) -> None:
-        """Lane-side ingest with backlog accounting (telemetry armed).
-
-        The pending-count delta around the engine call is this event's
-        exact contribution to the settlement backlog: +1 while it waits
-        for its chunk to seal, minus everything a settle scan drained.
-        """
-        before = state.pending_count()
-        verdicts = self._engine.ingest(state, event)
-        self._telemetry.note_processed(lane, state.pending_count() - before)
-        self._emit(verdicts)
-
-    def _finalize_traced(self, lane: int, state: UserStreamState) -> None:
-        before = state.pending_count()
-        verdicts = self._engine.finalize(state)
-        self._telemetry.note_drained(lane, state.pending_count() - before)
-        self._emit(verdicts)
 
     def _emit(self, verdicts: List[Verdict]) -> None:
         if not verdicts:
             return
-        with self._lock:
-            if self._telemetry is not None:
-                self._telemetry.verdicts += len(verdicts)
-            for verdict in verdicts:
-                self._verdicts_total += 1
-                if self._sink is not None:
-                    self._sink(verdict)
-                else:
-                    self.verdicts.setdefault(verdict.user_id, []).append(verdict)
+        if self._telemetry is not None:
+            self._telemetry.verdicts += len(verdicts)
+        for verdict in verdicts:
+            self._verdicts_total += 1
+            if self._sink is not None:
+                self._sink(verdict)
+            else:
+                self.verdicts.setdefault(verdict.user_id, []).append(verdict)
 
     @property
     def cursor(self) -> int:
@@ -333,25 +226,16 @@ class ValidationService:
         """
         return self._telemetry
 
-    def queue_depths(self) -> List[int]:
-        """Instantaneous queued-event estimate per lane (telemetry only)."""
-        if self._pool is None:
-            return [0] * self.workers
-        return self._pool.depths()
-
     @property
     def verdicts_emitted(self) -> int:
-        with self._lock:
-            return self._verdicts_total
+        return self._verdicts_total
 
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> None:
-        """Persist all user states and commit the cursor (quiesces first)."""
+        """Persist all user states and commit the cursor."""
         if self._store is None:
             raise RuntimeError("service has no state store")
-        if self._pool is not None:
-            self._pool.drain()
         self._generation += 1
         for state in self._states.values():
             self._store.save_user(self._key, self._generation, state)
@@ -390,9 +274,6 @@ class ValidationService:
                 return 0
             states[user_id] = state
         self._states = states
-        self._lanes = {
-            user_id: i % self.workers for i, user_id in enumerate(states)
-        }
         self._cursor = record["cursor"]
         self._generation = record["generation"]
         self._verdicts_total = record["verdicts_total"]
@@ -403,31 +284,19 @@ class ValidationService:
 
     def finish(self) -> ServeSummary:
         """Settle everything pending, fold counters into the obs
-        context, stop the lanes, and return the session summary."""
+        context, and return the session summary."""
         if self._finished:
             raise RuntimeError("service is already finished")
         self._finished = True
         tel = self._telemetry
-        if self._pool is not None:
-            for user_id, state in self._states.items():
-                lane = self._lanes[user_id]
-                if tel is None:
-                    self._pool.post(
-                        lane,
-                        lambda s=state: self._emit(self._engine.finalize(s)),
-                    )
-                else:
-                    self._pool.post(
-                        lane,
-                        lambda l=lane, s=state: self._finalize_traced(l, s),
-                    )
-            self._pool.close()
-        else:
-            for state in self._states.values():
-                if tel is None:
-                    self._emit(self._engine.finalize(state))
-                else:
-                    self._finalize_traced(0, state)
+        for state in self._states.values():
+            if tel is None:
+                self._emit(self._engine.finalize(state))
+            else:
+                before = state.pending_count()
+                verdicts = self._engine.finalize(state)
+                tel.backlog += state.pending_count() - before
+                self._emit(verdicts)
         return self._fold()
 
     def _fold(self) -> ServeSummary:
@@ -442,7 +311,6 @@ class ValidationService:
         with ctx.span(
             "serve.session",
             users=len(self._states),
-            workers=self.workers,
             events=self._cursor,
         ):
             for user_id, state in self._states.items():
@@ -492,17 +360,3 @@ class ValidationService:
             ),
         )
         return summary
-
-    # -- context manager ---------------------------------------------------
-
-    def close(self) -> None:
-        """Stop the lane threads without finishing (abandon the session)."""
-        if self._pool is not None and not self._finished:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ValidationService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -54,9 +54,9 @@ class TestOpenMetricsFormat:
         )
 
     def test_split_series_labels(self):
-        name, labels = split_series("serve.lane_queue_depth{lane=3}")
-        assert name == "serve.lane_queue_depth"
-        assert labels == {"lane": "3"}
+        name, labels = split_series("job.items_total{shard=3}")
+        assert name == "job.items_total"
+        assert labels == {"shard": "3"}
         assert split_series("plain.name") == ("plain.name", {})
 
     def test_render_parse_round_trip(self):
@@ -67,12 +67,12 @@ class TestOpenMetricsFormat:
             "metrics": {
                 "counters": {
                     "serve.events_ingested_total": 100,
-                    "serve.lane_events_total{lane=0}": 60,
-                    "serve.lane_events_total{lane=1}": 40,
+                    "job.items_total{shard=0}": 60,
+                    "job.items_total{shard=1}": 40,
                 },
                 "gauges": {"serve.watermark_s": 123.5},
                 "histograms": {
-                    "serve.lane_queue_depth_samples{lane=0}": {
+                    "job.batch_size{shard=0}": {
                         "count": 4, "sum": 10.0, "min": 0.0, "max": 7.0,
                         "p50": 1.0, "p90": 6.0, "p99": 7.0,
                     },
@@ -85,15 +85,15 @@ class TestOpenMetricsFormat:
         ingested = families["repro_serve_events_ingested_total"]
         assert ingested["type"] == "counter"
         assert ingested["samples"][""] == 100.0
-        lanes = families["repro_serve_lane_events_total"]
-        assert lanes["samples"]['{lane="0"}'] == 60.0
-        assert lanes["samples"]['{lane="1"}'] == 40.0
+        items = families["repro_job_items_total"]
+        assert items["samples"]['{shard="0"}'] == 60.0
+        assert items["samples"]['{shard="1"}'] == 40.0
         assert families["repro_serve_watermark_s"]["type"] == "gauge"
-        depth = families["repro_serve_lane_queue_depth_samples"]
-        assert depth["type"] == "summary"
-        assert depth["samples"]['{lane="0",quantile="0.5"}'] == 1.0
-        assert families["repro_serve_lane_queue_depth_samples_count"][
-            "samples"]['{lane="0"}'] == 4.0
+        batch = families["repro_job_batch_size"]
+        assert batch["type"] == "summary"
+        assert batch["samples"]['{quantile="0.5",shard="0"}'] == 1.0
+        assert families["repro_job_batch_size_count"][
+            "samples"]['{shard="0"}'] == 4.0
         assert families["repro_process_resident_memory_kb"]["samples"][""] == (
             1024.0
         )
@@ -285,9 +285,8 @@ class TestDisabledPath:
         monkeypatch.setattr(service_mod, "ServeTelemetry", forbidden)
         poi = Poi(poi_id="p0", name="p0", category=PoiCategory.FOOD,
                   x=0.0, y=0.0)
-        service = service_mod.ValidationService([poi], workers=2)
+        service = service_mod.ValidationService([poi])
         assert service.telemetry is None
-        assert service.queue_depths() == [0, 0]
         service.finish()
 
     def test_no_sampler_thread_or_files_without_flags(self, tmp_path):
@@ -334,7 +333,7 @@ class TestParity:
         def run(telemetry: bool):
             got = []
             service = ValidationService(
-                small_dataset.pois, name=small_dataset.name, workers=2,
+                small_dataset.pois, name=small_dataset.name,
                 sink=got.append, telemetry=telemetry,
             )
             sampler = None
@@ -348,13 +347,7 @@ class TestParity:
             summary = service.finish()
             if sampler is not None:
                 sampler.close()
-            # Lane hand-off makes cross-user emission order nondeterministic
-            # at workers>1; per-user order is the pinned contract.
-            verdicts = sorted(
-                (v.as_dict() for v in got),
-                key=lambda v: (v["user_id"], v["seq"]),
-            )
-            return summary, verdicts
+            return summary, [v.as_dict() for v in got]
 
         summary_off, verdicts_off = run(False)
         summary_on, verdicts_on = run(True)
@@ -362,11 +355,10 @@ class TestParity:
         assert verdicts_on == verdicts_off
         status = read_status(tmp_path)
         counters = status["metrics"]["counters"]
-        # Registrations are bookkeeping, not lane traffic: the ingest
-        # counters cover trace events (gps + checkin) only.
+        # Registrations are bookkeeping: the ingest counter covers trace
+        # events (gps + checkin) only.
         n_trace = sum(1 for e in events if e.kind != "register")
         assert counters["serve.events_ingested_total"] == n_trace
-        assert counters["serve.events_processed_total"] == n_trace
         assert counters["serve.verdicts_emitted_total"] == len(verdicts_on)
         gauges = status["metrics"]["gauges"]
         assert "serve.watermark_s" in gauges

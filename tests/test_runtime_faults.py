@@ -851,9 +851,9 @@ class TestServeCrashDrill:
                 if service.verdicts_emitted >= threshold:
                     crashed_mid_stream = True
                     break
-            # High thresholds only complete at finish(); killing after
-            # the last event but before finish() is a drill point too.
-            service.close()  # abandon: no finish(), no final snapshot
+            # Abandon the service: no finish(), no final snapshot.  High
+            # thresholds only complete at finish(); killing after the
+            # last event but before finish() is a drill point too.
             if threshold == kill_every:
                 # The fixture settles chunks mid-stream, so the first
                 # threshold must hit while events are still flowing.
@@ -894,7 +894,6 @@ class TestServeCrashDrill:
         for event in events[: len(events) // 2]:
             service.ingest(event)
         service.snapshot()
-        service.close()
         user_files = sorted(store_dir.glob("serve-user-*.pkl"))
         assert user_files
         user_files[0].write_bytes(user_files[0].read_bytes()[:11])
@@ -926,7 +925,6 @@ class TestServeCrashDrill:
         for event in events[: 2 * len(events) // 3]:
             service.ingest(event)
         service.snapshot()
-        service.close()
 
         resumed = ValidationService(
             dataset.pois, name=dataset.name, state_store=store_dir,

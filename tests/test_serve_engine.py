@@ -14,7 +14,9 @@ diverge from batch and must not:
   within one horizon of the high-water mark;
 * snapshots: state round-trips through the two-slot store, and torn or
   mismatched snapshot files read as absent (fresh start), never as
-  corrupt state.
+  corrupt state;
+* event decoding: a NaN or infinite time or position is rejected where
+  the event enters, never fed to the kernels.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.serve import (
     ServeStateStore,
     StreamEngine,
     ValidationService,
+    read_events,
 )
 from repro.synth import replay_events
 
@@ -36,7 +39,7 @@ from repro.synth import replay_events
 HORIZON = ServeConfig().settlement_horizon_s()
 
 
-def both_paths(dataset, config=None, workers=1):
+def both_paths(dataset, config=None):
     """(batch report+ctx, serve service+summary+ctx) over ``dataset``."""
     serve_config = config or ServeConfig()
     batch_ctx = ObsContext()
@@ -49,8 +52,7 @@ def both_paths(dataset, config=None, workers=1):
         )
     serve_ctx = ObsContext()
     service = ValidationService(
-        dataset.pois, serve_config, name=dataset.name,
-        workers=workers, obs=serve_ctx,
+        dataset.pois, serve_config, name=dataset.name, obs=serve_ctx,
     )
     for event in replay_events(dataset):
         service.ingest(event)
@@ -307,6 +309,41 @@ class TestSnapshotStore:
         )
         service = ValidationService([], ServeConfig(), state_store=store)
         assert service.restore() == 0
+
+
+#: Trace events with a NaN or infinite field, in both JSON spellings: a
+#: quoted string that ``float()`` parses, and the bare token Python's
+#: ``json`` module accepts.
+NON_FINITE_LINES = [
+    '{"kind": "gps", "user_id": "u0", "t": "nan", "x": "inf", "y": 1}',
+    '{"kind": "gps", "user_id": "u0", "t": 60.0, "x": 1.0, "y": NaN}',
+    '{"kind": "gps", "user_id": "u0", "t": Infinity, "x": 1.0, "y": 2.0}',
+    '{"kind": "checkin", "user_id": "u0", "checkin": {"checkin_id": "c0", '
+    '"poi_id": "p0", "x": "-inf", "y": 0.0, "t": 60.0, "category": "Food"}}',
+    '{"kind": "checkin", "user_id": "u0", "checkin": {"checkin_id": "c0", '
+    '"poi_id": "p0", "x": 0.0, "y": 0.0, "t": NaN, "category": "Food"}}',
+]
+
+
+class TestEventDecoding:
+    @pytest.mark.parametrize(
+        "line", NON_FINITE_LINES,
+        ids=["gps-strings", "gps-y-nan", "gps-t-infinity", "checkin-x-string",
+             "checkin-t-nan"],
+    )
+    def test_non_finite_fields_rejected(self, tmp_path, line):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"kind": "register", "user_id": "u0"}\n'
+            '{"kind": "gps", "user_id": "u0", "t": 0.0, "x": 1.0, "y": 2.0}\n'
+            + line + "\n"
+        )
+        events = read_events(path)
+        assert [e.kind for e in (next(events), next(events))] == [
+            "register", "gps",
+        ]
+        with pytest.raises(ValueError, match="non-finite"):
+            next(events)
 
 
 def build_index():

@@ -1,17 +1,18 @@
 """Streaming replay must be byte-identical to batch validation.
 
 The replay-parity tier: the golden fixture fed through the streaming
-service event by event — at 1 and 4 ingest workers, with both
-extraction kernels — must reproduce the batch ``validate()`` run
-exactly: per-checkin verdicts, missing visits, summary text, semantic
-counters, gauges, histograms, dataset fingerprint, and (through the
-CLI) the manifest's fidelity scorecard.  The golden fixture's users
-each span several settlement-horizon gaps, so these runs genuinely
-settle chunks mid-stream rather than doing all the work at finish().
+service event by event, with both extraction kernels, must reproduce
+the batch ``validate()`` run exactly: per-checkin verdicts, missing
+visits, summary text, semantic counters, gauges, histograms, dataset
+fingerprint, and (through the CLI) the manifest's fidelity scorecard.
+The golden fixture's users each span several settlement-horizon gaps,
+so these runs genuinely settle chunks mid-stream rather than doing all
+the work at finish().
 """
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from repro.cli import main
 from repro.core import VisitConfig, validate
 from repro.io import load_dataset
 from repro.obs import ObsContext, RunManifest, activate, dataset_fingerprint
-from repro.serve import ServeConfig, ValidationService
+from repro.serve import ServeConfig, ServeStateStore, ValidationService
 from repro.synth import replay_events
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden_study"
@@ -59,14 +60,13 @@ def batch_run(dataset, kernel):
     return report, ctx
 
 
-def serve_run(dataset, kernel, workers, **service_kwargs):
+def serve_run(dataset, kernel, **service_kwargs):
     ctx = ObsContext()
     config = ServeConfig(visit=VisitConfig(kernel=kernel))
     service = ValidationService(
         dataset.pois,
         config,
         name=dataset.name,
-        workers=workers,
         obs=ctx,
         **service_kwargs,
     )
@@ -103,11 +103,10 @@ def serve_verdict_view(service):
 
 
 class TestReplayParity:
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("kernel", ["vectorized", "scalar"])
-    def test_stream_matches_batch(self, golden, workers, kernel):
+    def test_stream_matches_batch(self, golden, kernel):
         report, batch_ctx = batch_run(golden, kernel)
-        service, summary, serve_ctx = serve_run(golden, kernel, workers)
+        service, summary, serve_ctx = serve_run(golden, kernel)
 
         assert summary.summary() == report.summary()
         assert serve_verdict_view(service) == batch_verdict_view(report)
@@ -123,9 +122,7 @@ class TestReplayParity:
         """The fixture must exercise incremental settlement: several
         chunks per user, and verdicts emitted before finish()."""
         ctx = ObsContext()
-        service = ValidationService(
-            golden.pois, name=golden.name, workers=1, obs=ctx
-        )
+        service = ValidationService(golden.pois, name=golden.name, obs=ctx)
         emitted_before_finish = 0
         for event in replay_events(golden):
             service.ingest(event)
@@ -135,18 +132,28 @@ class TestReplayParity:
         assert summary.n_chunks >= 2 * summary.n_users
         assert service.verdicts_emitted == summary.n_verdicts
 
-    def test_verdict_sequences_are_deterministic(self, golden):
-        """Per-user verdict streams are identical at any lane count."""
-        baseline, _, _ = serve_run(golden, "auto", 1)
-        for workers in (2, 4):
-            service, _, _ = serve_run(golden, "auto", workers)
-            assert {
-                user: [v.as_dict() for v in verdicts]
-                for user, verdicts in service.verdicts.items()
-            } == {
-                user: [v.as_dict() for v in verdicts]
-                for user, verdicts in baseline.verdicts.items()
-            }
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_service_starts_no_threads(self, golden, tmp_path, monkeypatch,
+                                       telemetry):
+        """Register, ingest, snapshot and finish all run on the caller's
+        thread, with the telemetry instruments armed (sampler not
+        started) or absent."""
+
+        def refuse_start(thread):
+            raise AssertionError(f"serving started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse_start)
+        service = ValidationService(
+            golden.pois, name=golden.name, obs=ObsContext(),
+            state_store=ServeStateStore(tmp_path / "snapshots"),
+            telemetry=telemetry,
+        )
+        for event in replay_events(golden):
+            service.ingest(event)
+        service.snapshot()
+        summary = service.finish()
+        assert summary.n_verdicts == service.verdicts_emitted > 0
+        assert (service.telemetry is not None) == telemetry
 
 
 def run_cli(tmp_path, capsys, tag, *argv):
@@ -158,15 +165,14 @@ def run_cli(tmp_path, capsys, tag, *argv):
 
 
 class TestCliParity:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_serve_cli_matches_validate_cli(self, tmp_path, capsys, workers):
+    def test_serve_cli_matches_validate_cli(self, tmp_path, capsys):
         batch, batch_out = run_cli(
             tmp_path, capsys, "validate",
             "validate", "--data", str(GOLDEN_DIR),
         )
         serve, serve_out = run_cli(
-            tmp_path, capsys, f"serve{workers}",
-            "serve", "--data", str(GOLDEN_DIR), "--workers", str(workers),
+            tmp_path, capsys, "serve",
+            "serve", "--data", str(GOLDEN_DIR),
         )
         assert serve_out == batch_out
         assert serve.dataset == batch.dataset  # incl. the content sha256
@@ -176,8 +182,13 @@ class TestCliParity:
         sc, sg, sh = semantic_metrics(serve.metrics)
         bc, bg, bh = semantic_metrics(batch.metrics)
         assert (sc, sg, sh) == (bc, bg, bh)
-        assert serve.extra["serve"]["workers"] == max(workers, 1)
         assert serve.extra["serve"]["chunks"] >= 2
+
+    def test_serve_has_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--data", str(GOLDEN_DIR), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_event_stream_round_trip(self, tmp_path, capsys):
         """Dump the replayed stream, re-serve from the captured file:

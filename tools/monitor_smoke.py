@@ -67,14 +67,12 @@ def scrape_during_serve(tel_dir: Path) -> None:
         text = urllib.request.urlopen(f"{endpoint}/metrics", timeout=30)
         families = parse_openmetrics(text.read().decode("utf-8"))
         # Families the serve instruments always expose, from the very
-        # first sample (watermarks appear only once a lane has seen an
-        # event time — those are checked on the finished status below).
+        # first sample (the watermark appears only once the service has
+        # seen an event time — it is checked on the finished status below).
         for family in (
             "repro_serve_events_ingested_total",
-            "repro_serve_events_processed_total",
             "repro_serve_verdicts_emitted_total",
             "repro_serve_backlog_events",
-            "repro_serve_lane_queue_depth",
             "repro_process_resident_memory_kb",
         ):
             if family not in families:
