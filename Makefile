@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test coverage faults bench bench-quick bench-scaling bench-scale bench-manet
+.PHONY: test coverage faults bench bench-quick bench-scaling bench-scale
 
 test:            ## tier-1 suite (fast; what CI gates on)
 	$(PYTHON) -m pytest -x -q
@@ -31,6 +31,3 @@ bench-scaling:   ## just the runtime scaling record (BENCH_runtime_scaling.json)
 
 bench-scale:     ## out-of-core RSS record, quick + 100k tiers (BENCH_scale.json)
 	$(PYTHON) -m pytest benchmarks/test_scale.py -q
-
-bench-manet:     ## MANET engine parity + throughput record (manet section of BENCH_runtime_scaling.json)
-	$(PYTHON) -m pytest benchmarks/test_manet_engines.py -q -s -m "not slow"

@@ -1,20 +1,15 @@
-"""Bench RT — serial vs parallel validation throughput, per-kernel extract.
+"""Bench RT — serial vs parallel validation throughput.
 
 Runs the full pipeline over a seeded 200-user Primary study once with
 the serial reference executor and once with 4 workers, asserts the two
 reports are identical (the runtime determinism guarantee at scale), and
 persists both wall times plus the per-stage/shard breakdown from
 ``report.timings`` into ``BENCH_runtime_scaling.json`` at the repo root
-so later PRs inherit a perf trajectory.  A second bench times the
-scalar vs vectorized stay-point kernels on the same study (extract
-stage only, serial), asserts their visits are identical, and records
-per-kernel throughput (GPS points/s) under ``extract_kernels`` in the
-same JSON.
+so later PRs inherit a perf trajectory.
 
 The ≥1.5× parallel speedup assertion only arms on hosts with ≥4 usable
 CPUs — on smaller boxes a process pool cannot beat the serial path and
-the bench records throughput without judging it.  The ≥3× vectorized
-kernel speedup asserts unconditionally: it is single-core.
+the bench records throughput without judging it.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import VisitConfig, extract_dataset_visits, validate
+from repro.core import validate
 from repro.model import Dataset, UserData
 from repro.runtime import available_workers
 from repro.synth import generate_dataset, primary_config
@@ -35,26 +30,8 @@ STUDY_USERS = 200
 STUDY_SCALE = STUDY_USERS / 244
 PARALLEL_WORKERS = 4
 MIN_SPEEDUP = 1.5
-#: Single-core floor for the vectorized stay-point kernel vs scalar.
-MIN_KERNEL_SPEEDUP = 3.0
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_runtime_scaling.json"
-
-
-def merge_bench(sections: dict) -> None:
-    """Read-modify-write top-level sections of the bench JSON.
-
-    Both benches in this module write to the same file; merging keeps
-    whatever sections the other bench produced.
-    """
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-        except ValueError:
-            data = {}
-    data.update(sections)
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 def raw_clone(dataset: Dataset) -> Dataset:
@@ -124,7 +101,7 @@ def test_runtime_scaling(study):
         },
         "speedup": speedup,
     }
-    merge_bench(record)
+    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(
         f"\nserial {serial_s:.2f}s, {PARALLEL_WORKERS} workers {parallel_s:.2f}s "
         f"({speedup:.2f}x on {record['host_cpus']} CPU(s)) -> {BENCH_PATH.name}"
@@ -141,59 +118,6 @@ def test_runtime_scaling(study):
             f"speedup assertion skipped: {record['host_cpus']} usable CPU(s) "
             f"< {PARALLEL_WORKERS} workers"
         )
-
-
-def test_extract_kernel_throughput(study):
-    """Scalar vs vectorized stay-point kernels: identical visits, ≥3× faster.
-
-    Times the extract stage alone (serial executor, so the comparison
-    is pure kernel work) and records per-kernel GPS-point throughput
-    under ``extract_kernels`` in the bench JSON.
-    """
-    n_points = len(study.all_gps_points)
-    runs = {}
-    for kernel in ("scalar", "vectorized"):
-        clone = raw_clone(study)
-        t0 = time.perf_counter()
-        extract_dataset_visits(clone, VisitConfig(kernel=kernel))
-        wall_s = time.perf_counter() - t0
-        runs[kernel] = {
-            "wall_s": wall_s,
-            "points_per_s": n_points / wall_s,
-            "visits": {
-                user_id: data.visits for user_id, data in clone.users.items()
-            },
-        }
-
-    # Bit-identity on the full study: same ids, centroids, timestamps.
-    assert runs["vectorized"]["visits"] == runs["scalar"]["visits"]
-
-    speedup = runs["scalar"]["wall_s"] / runs["vectorized"]["wall_s"]
-    merge_bench(
-        {
-            "extract_kernels": {
-                "study": {"users": STUDY_USERS, "gps_points": n_points},
-                "scalar": {
-                    k: runs["scalar"][k] for k in ("wall_s", "points_per_s")
-                },
-                "vectorized": {
-                    k: runs["vectorized"][k] for k in ("wall_s", "points_per_s")
-                },
-                "speedup": speedup,
-            }
-        }
-    )
-    print(
-        f"\nextract: scalar {runs['scalar']['wall_s']:.2f}s "
-        f"({runs['scalar']['points_per_s']:.0f} pts/s), "
-        f"vectorized {runs['vectorized']['wall_s']:.2f}s "
-        f"({runs['vectorized']['points_per_s']:.0f} pts/s) "
-        f"-> {speedup:.1f}x"
-    )
-    assert speedup >= MIN_KERNEL_SPEEDUP, (
-        f"expected the vectorized kernel to be >= {MIN_KERNEL_SPEEDUP}x faster "
-        f"than scalar, measured {speedup:.2f}x"
-    )
 
 
 def test_parallel_overhead_is_bounded(study):

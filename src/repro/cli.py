@@ -19,9 +19,7 @@ Subcommands::
 
 Pipeline commands accept ``--workers N`` to shard validation over a
 process pool (``0`` = all CPUs); results are identical for any worker
-count.  ``--kernel {auto,vectorized,scalar}`` selects the stay-point
-extraction kernel — the vectorized default is ~5x faster and
-bit-identical to the scalar reference.
+count.
 
 Out-of-core studies: ``generate --store disk`` writes a segment store
 instead of one JSONL directory, and ``validate --store disk`` streams
@@ -69,16 +67,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace as dc_replace
 from pathlib import Path
 from typing import List, Optional, TextIO
 
 from .core import (
-    KERNELS,
     ClassifyConfig,
     MatchConfig,
     VisitConfig,
-    resolved_kernel,
     validate,
     validate_store,
 )
@@ -115,7 +110,7 @@ from .experiments import (
     table2,
 )
 from .io import load_dataset, load_dataset_into_store, save_dataset
-from .manet import ENGINES as MANET_ENGINES, bench_config, paper_config
+from .manet import bench_config, paper_config
 from .store import DEFAULT_SEGMENT_USERS, StudyStore
 from .synth import (
     baseline_config,
@@ -156,20 +151,6 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="shard the validation pipeline over N processes (0 = all CPUs)",
     )
-
-
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="auto",
-        help="stay-point extraction kernel (auto = vectorized, ~5x faster "
-             "than scalar; both produce bit-identical visits)",
-    )
-
-
-def _visit_config(args: argparse.Namespace) -> VisitConfig:
-    return VisitConfig(kernel=getattr(args, "kernel", "auto"))
 
 
 def _segment_users(value: str) -> int:
@@ -496,7 +477,6 @@ def _write_obs_artifacts(
     ctx,
     command: str,
     dataset=None,
-    configs: tuple = (),
     seeds=None,
     timings=None,
     extra=None,
@@ -528,7 +508,7 @@ def _write_obs_artifacts(
         manifest = build_manifest(
             command,
             dataset=dataset,
-            configs=configs,
+            configs=(VisitConfig(), MatchConfig(), ClassifyConfig()),
             seeds=seeds,
             workers=getattr(args, "workers", None),
             timings=timings,
@@ -578,7 +558,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="suppress the live segment progress line "
                           "(--store disk; it is TTY-only regardless)")
     _add_workers_flag(val)
-    _add_kernel_flag(val)
     _add_store_flags(val)
     _add_resilience_flags(val, inject=True)
     _add_obs_flags(val)
@@ -617,7 +596,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--quiet", action="store_true",
                      help="suppress the live event progress line "
                           "(it is TTY-only regardless)")
-    _add_kernel_flag(srv)
     _add_obs_flags(srv)
     _add_telemetry_flags(srv)
 
@@ -628,7 +606,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(EXPERIMENTS)}",
     )
     _add_workers_flag(rep)
-    _add_kernel_flag(rep)
     _add_resilience_flags(rep)
     _add_obs_flags(rep)
 
@@ -640,13 +617,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use the paper's 200-node, 100 km configuration (slow)",
     )
     man.add_argument(
-        "--engine",
-        choices=MANET_ENGINES,
-        default="auto",
-        help="MANET simulation engine (results are identical; scalar is "
-             "the slow parity reference)",
-    )
-    man.add_argument(
         "--seeds",
         type=_positive_int,
         default=1,
@@ -654,7 +624,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "report mean ± band for each Figure 8 ratio (default: 1)",
     )
     _add_workers_flag(man)
-    _add_kernel_flag(man)
     _add_resilience_flags(man)
     _add_obs_flags(man)
 
@@ -664,7 +633,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--no-manet", action="store_true",
                      help="skip the (slow) Figure 8 simulation")
     _add_workers_flag(exp)
-    _add_kernel_flag(exp)
     _add_resilience_flags(exp)
     _add_obs_flags(exp)
 
@@ -673,7 +641,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--scale", type=float, default=0.15)
     _add_workers_flag(rec)
-    _add_kernel_flag(rec)
     _add_resilience_flags(rec)
     _add_obs_flags(rec)
 
@@ -782,7 +749,6 @@ def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
     import tempfile
 
     seeds = {}
-    visit_config = _visit_config(args)
     scratch: Optional[str] = None
     try:
         with activate(ctx):
@@ -811,7 +777,6 @@ def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
                     segment_users=args.segment_users,
                 )
                 extra = {"scale": args.scale}
-            extra["extract.kernel"] = resolved_kernel(visit_config)
             extra["store"] = {"mode": "disk", **store.segment_summary()}
             # Progress is cosmetic and stderr-only: suppressed when the
             # stream is not a terminal (logs, CI) or under --quiet.
@@ -827,7 +792,7 @@ def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
             finished = False
             try:
                 summary = validate_store(
-                    store, visit_config=visit_config, workers=args.workers,
+                    store, workers=args.workers,
                     resilience=resilience, fault_plan=fault_plan,
                     checkpoints=args.checkpoint_dir,
                     inflight_segments=args.inflight_segments,
@@ -846,7 +811,6 @@ def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
         _write_obs_artifacts(
             args, ctx, "validate",
             dataset=store.fingerprint(visit_counts=summary.visit_counts),
-            configs=(visit_config, MatchConfig(), ClassifyConfig()),
             seeds=seeds,
             timings=summary.timings.as_dict(),
             extra=extra,
@@ -871,7 +835,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if err is not None:
         return err
     seeds = {}
-    visit_config = _visit_config(args)
     with activate(ctx):
         if args.data:
             dataset = load_dataset(args.data)
@@ -881,7 +844,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             seeds["primary"] = config.seed
             dataset = generate_dataset(config.scaled(args.scale))
             extra = {"scale": args.scale}
-        extra["extract.kernel"] = resolved_kernel(visit_config)
         collectors = [registry_collector(ctx.metrics)] if ctx.enabled else []
         sampler, err = _start_telemetry(args, "validate", collectors)
         if err is not None:
@@ -889,7 +851,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         finished = False
         try:
             report = validate(
-                dataset, visit_config=visit_config, workers=args.workers,
+                dataset, workers=args.workers,
                 resilience=resilience, fault_plan=fault_plan,
             )
             finished = True
@@ -904,7 +866,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _write_obs_artifacts(
         args, ctx, "validate",
         dataset=dataset,
-        configs=(visit_config, MatchConfig(), ClassifyConfig()),
         seeds=seeds,
         timings=report.timings.as_dict(),
         extra=extra,
@@ -933,10 +894,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume needs --checkpoint-dir", file=sys.stderr)
         return 2
-    visit_config = _visit_config(args)
-    serve_config = ServeConfig(
-        visit=visit_config, allowed_lateness_s=args.lateness
-    )
+    serve_config = ServeConfig(allowed_lateness_s=args.lateness)
     seeds = {}
     with activate(ctx):
         if args.data:
@@ -947,7 +905,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             seeds["primary"] = config.seed
             dataset = generate_dataset(config.scaled(args.scale))
             extra = {"scale": args.scale}
-        extra["extract.kernel"] = resolved_kernel(visit_config)
         total_events: Optional[int] = None
         if args.events:
             # Stays a generator — captured streams can be huge, and the
@@ -1038,7 +995,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _write_obs_artifacts(
         args, ctx, "serve",
         dataset=summary.fingerprint,
-        configs=(visit_config, MatchConfig(), ClassifyConfig()),
         seeds=seeds,
         extra=extra,
     )
@@ -1053,7 +1009,6 @@ def _study_artifacts(args: argparse.Namespace, ctx):
     return build_study(
         scale=args.scale, workers=args.workers, obs=ctx,
         resilience=resilience, fault_plan=fault_plan,
-        visit_config=_visit_config(args),
     )
 
 
@@ -1062,18 +1017,12 @@ def _write_study_artifacts(
 ) -> None:
     """Manifest/trace output shared by report/manet/export/recover."""
     health = artifacts.primary_report.health
-    visit_config = _visit_config(args)
     _write_obs_artifacts(
         args, ctx, command,
         dataset=artifacts.primary,
-        configs=(visit_config, MatchConfig(), ClassifyConfig()),
         seeds={"primary": 20131121, "baseline": 20131122},
         timings=artifacts.primary_report.timings.as_dict(),
-        extra={
-            "scale": args.scale,
-            "scope": "primary",
-            "extract.kernel": resolved_kernel(visit_config),
-        },
+        extra={"scale": args.scale, "scope": "primary"},
         health=health if (health.recovered or health.degraded) else None,
         headline=headline,
     )
@@ -1115,7 +1064,6 @@ def _cmd_manet(args: argparse.Namespace) -> int:
         return err
     artifacts = _study_artifacts(args, ctx)
     config = paper_config() if args.full else bench_config()
-    config = dc_replace(config, engine=args.engine)
     with activate(ctx):
         if args.seeds > 1:
             result = figure8.run_multi(artifacts, config, seeds=args.seeds)

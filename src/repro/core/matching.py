@@ -91,8 +91,36 @@ class UserMatching:
         return [c for c, _ in self.matches]
 
 
+class RegionCounts:
+    """Figure 1's three regions and everything derived from them.
+
+    Subclasses supply ``n_honest`` (checkins matching a visit, the Venn
+    intersection), ``n_extraneous`` (checkins without one) and
+    ``n_missing`` (visits without a checkin) as fields or properties;
+    the totals and both fractions are defined here once.
+    """
+
+    @property
+    def n_checkins(self) -> int:
+        """Total checkins considered."""
+        return self.n_honest + self.n_extraneous
+
+    @property
+    def n_visits(self) -> int:
+        """Total visits considered."""
+        return self.n_honest + self.n_missing
+
+    def extraneous_fraction(self) -> float:
+        """Share of checkins that are extraneous (the paper's ≈75%)."""
+        return self.n_extraneous / self.n_checkins if self.n_checkins else 0.0
+
+    def coverage_fraction(self) -> float:
+        """Share of visits covered by checkins (the paper's ≈10%)."""
+        return self.n_honest / self.n_visits if self.n_visits else 0.0
+
+
 @dataclass
-class MatchingResult:
+class MatchingResult(RegionCounts):
     """Dataset-wide matching outcome — the data behind Figure 1."""
 
     config: MatchConfig
@@ -132,24 +160,6 @@ class MatchingResult:
     def n_missing(self) -> int:
         """Count of missing checkins / unmatched visits (GPS-only region)."""
         return sum(len(m.missing) for m in self.per_user.values())
-
-    @property
-    def n_checkins(self) -> int:
-        """Total checkins considered."""
-        return self.n_honest + self.n_extraneous
-
-    @property
-    def n_visits(self) -> int:
-        """Total visits considered."""
-        return self.n_honest + self.n_missing
-
-    def extraneous_fraction(self) -> float:
-        """Share of checkins that are extraneous (the paper's ≈75%)."""
-        return self.n_extraneous / self.n_checkins if self.n_checkins else 0.0
-
-    def coverage_fraction(self) -> float:
-        """Share of visits covered by checkins (the paper's ≈10%)."""
-        return self.n_honest / self.n_visits if self.n_visits else 0.0
 
 
 def _best_from_candidates(

@@ -38,38 +38,34 @@ from ..runtime.errors import RuntimeConfigError
 from ..runtime.faults import inject
 from ..store import CheckpointStore, SegmentEntry, StudyStore
 from .classify import ClassificationResult, ClassifyConfig, classify_dataset
-from .matching import MatchConfig, MatchingResult, match_dataset
+from .matching import MatchConfig, MatchingResult, RegionCounts, match_dataset
 from .visits import VisitConfig, extract_dataset_visits
 
 
 def format_summary(
     name: str,
-    n_checkins: int,
-    n_visits: int,
-    n_honest: int,
-    n_extraneous: int,
-    n_missing: int,
+    counts: RegionCounts,
     type_counts: Mapping[CheckinType, int],
     skipped: Sequence[str] = (),
 ) -> str:
-    """The pipeline's human-readable summary, from plain aggregates.
+    """The pipeline's human-readable summary, from Figure 1's regions.
 
     Single formatter behind :meth:`ValidationReport.summary` and
     :meth:`HeadlineCounts.summary` — the streaming and serving paths
     accumulate the same integers the in-memory result derives, so all
     render the exact same text.
     """
-    extraneous_fraction = n_extraneous / n_checkins if n_checkins else 0.0
-    coverage_fraction = n_honest / n_visits if n_visits else 0.0
+    n_extraneous = counts.n_extraneous
+    extraneous_fraction = counts.extraneous_fraction()
     lines = [
         f"Dataset: {name}",
-        f"  checkins: {n_checkins}   visits: {n_visits}",
-        f"  honest checkins:     {n_honest}"
+        f"  checkins: {counts.n_checkins}   visits: {counts.n_visits}",
+        f"  honest checkins:     {counts.n_honest}"
         f" ({100 * (1 - extraneous_fraction):.0f}% of checkins)",
         f"  extraneous checkins: {n_extraneous}"
         f" ({100 * extraneous_fraction:.0f}% of checkins)",
-        f"  missing checkins:    {n_missing}"
-        f" ({100 * (1 - coverage_fraction):.0f}% of visits)",
+        f"  missing checkins:    {counts.n_missing}"
+        f" ({100 * (1 - counts.coverage_fraction()):.0f}% of visits)",
         "  extraneous breakdown:",
     ]
     for kind in (
@@ -91,7 +87,7 @@ def format_summary(
 
 
 @dataclass
-class ValidationReport:
+class ValidationReport(RegionCounts):
     """Everything the paper's core analysis produces for one dataset."""
 
     dataset: Dataset
@@ -125,13 +121,7 @@ class ValidationReport:
     def summary(self) -> str:
         """Human-readable report mirroring the paper's headline numbers."""
         return format_summary(
-            self.dataset.name,
-            self.matching.n_checkins,
-            self.matching.n_visits,
-            self.n_honest,
-            self.n_extraneous,
-            self.n_missing,
-            self.type_counts(),
+            self.dataset.name, self, self.type_counts(),
             self.health.skipped_user_ids(),
         )
 
@@ -207,14 +197,16 @@ def validate(
     )
 
 
-def set_headline_gauges(ctx, counts, health: Optional[RunHealth] = None) -> None:
+def set_headline_gauges(
+    ctx, counts: RegionCounts, health: Optional[RunHealth] = None
+) -> None:
     """Publish Figure 1's headline fractions as gauges.
 
-    ``counts`` is anything with the :class:`HeadlineCounts` fraction
-    methods (a record or a :class:`MatchingResult`).  Every caller sets
-    them once, after aggregation, from the same integer operands, so the
-    floats agree bit for bit at any worker count and on every path —
-    and they are the direct inputs of the fidelity scorecard.
+    ``counts`` is any :class:`RegionCounts` (a record or a
+    :class:`MatchingResult`).  Every caller sets them once, after
+    aggregation, from the same integer operands, so the floats agree
+    bit for bit at any worker count and on every path — and they are
+    the direct inputs of the fidelity scorecard.
     """
     ctx.set_gauge("matching.extraneous_fraction", counts.extraneous_fraction())
     ctx.set_gauge("matching.missing_fraction", 1.0 - counts.coverage_fraction())
@@ -223,13 +215,14 @@ def set_headline_gauges(ctx, counts, health: Optional[RunHealth] = None) -> None
 
 
 @dataclass
-class HeadlineCounts:
+class HeadlineCounts(RegionCounts):
     """Figure 1's regions for one run, as plain aggregates.
 
     The base of every summary that counts instead of keeping per-checkin
     results — the streamed :class:`ValidationSummary` and the serving
-    layer's ``ServeSummary`` — so checkin/visit totals, both fractions
-    and the summary text are derived in one place.
+    layer's ``ServeSummary``.  Totals and fractions come from
+    :class:`RegionCounts`, the text from :func:`format_summary`, exactly
+    as for :class:`ValidationReport`.
     """
 
     name: str
@@ -238,20 +231,6 @@ class HeadlineCounts:
     n_missing: int
     type_counts: Dict[CheckinType, int]
 
-    @property
-    def n_checkins(self) -> int:
-        return self.n_honest + self.n_extraneous
-
-    @property
-    def n_visits(self) -> int:
-        return self.n_honest + self.n_missing
-
-    def extraneous_fraction(self) -> float:
-        return self.n_extraneous / self.n_checkins if self.n_checkins else 0.0
-
-    def coverage_fraction(self) -> float:
-        return self.n_honest / self.n_visits if self.n_visits else 0.0
-
     def skipped_user_ids(self) -> Tuple[str, ...]:
         """Users a degraded run left out (none unless health is tracked)."""
         return ()
@@ -259,14 +238,7 @@ class HeadlineCounts:
     def summary(self) -> str:
         """Identical text to :meth:`ValidationReport.summary`."""
         return format_summary(
-            self.name,
-            self.n_checkins,
-            self.n_visits,
-            self.n_honest,
-            self.n_extraneous,
-            self.n_missing,
-            self.type_counts,
-            self.skipped_user_ids(),
+            self.name, self, self.type_counts, self.skipped_user_ids()
         )
 
 

@@ -12,22 +12,15 @@ its predecessor; emit a visit when the cluster spans at least the dwell
 threshold.  Extracted visits are annotated with the nearest known POI so
 the missing-checkin analyses can reason about categories.
 
-Two kernels implement the same algorithm, selected by
-``VisitConfig.kernel``:
-
-* ``scalar`` — the reference implementation, a plain Python loop over
-  points.
-* ``vectorized`` — the columnar hot path: the trace is split at
-  ``max_gap_s`` boundaries with one ``np.diff``, starts that cannot
-  absorb even one neighbour (every sample taken while moving) are
-  skipped in bulk, and the centroid-cluster scan runs on arrays with
-  geometrically growing windows.
-
-Both kernels track the cluster centroid as ``running sum / count`` with
-the same sequence of float64 additions (``np.cumsum`` accumulates
-sequentially), so their outputs are **bit-identical**: same visit ids,
-same centroids, same timestamps, for any trace.  ``auto`` (the default)
-picks the vectorized kernel.
+The kernel is columnar: the trace is split at ``max_gap_s`` boundaries
+with one ``np.diff``, starts that cannot absorb even one neighbour
+(every sample taken while moving) are skipped in bulk, and the
+centroid-cluster scan runs on arrays with geometrically growing
+windows.  The cluster centroid is the running ``sum / count`` with the
+sums accumulated by ``np.cumsum`` — one point at a time, in time order —
+so the output is bit-identical to a plain per-point loop (the parity
+oracle in ``tests/oracles.py``): same visit ids, same centroids, same
+timestamps, for any trace.
 """
 
 from __future__ import annotations
@@ -48,9 +41,6 @@ from ..runtime import (
     shard_count,
     shard_dataset,
 )
-
-#: Recognised stay-point kernels (``auto`` resolves to ``vectorized``).
-KERNELS = ("auto", "vectorized", "scalar")
 
 #: First vectorized scan window (candidates per cluster start); grown
 #: geometrically when a cluster outlives it.  Covers a one-hour stay of
@@ -73,23 +63,10 @@ class VisitConfig:
     max_gap_s: float = units.minutes(10)
     #: Annotate a visit with the nearest POI within this radius, metres.
     annotate_radius_m: float = 150.0
-    #: Stay-point kernel: ``auto`` | ``vectorized`` | ``scalar``.  The
-    #: kernels are bit-identical; the knob exists for parity testing,
-    #: benchmarking and emergency fallback.
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.dwell_s <= 0 or self.roam_radius_m <= 0 or self.max_gap_s <= 0:
             raise ValueError("visit extraction thresholds must be positive")
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; choose one of {', '.join(KERNELS)}"
-            )
-
-
-def resolved_kernel(config: VisitConfig) -> str:
-    """The concrete kernel ``config`` selects (``auto`` → vectorized)."""
-    return "scalar" if config.kernel == "scalar" else "vectorized"
 
 
 def extract_visits(
@@ -112,13 +89,9 @@ def extract_visits(
     over the concatenated trace.
     """
     config = config or VisitConfig()
-    if resolved_kernel(config) == "vectorized":
-        trace = as_trace(points).sorted()
-        return _extract_visits_vectorized(
-            trace, user_id, config, poi_index, start_counter
-        )
-    pts = sorted(points, key=lambda p: p.t)
-    return _extract_visits_scalar(pts, user_id, config, poi_index, start_counter)
+    return _extract_visits_vectorized(
+        as_trace(points).sorted(), user_id, config, poi_index, start_counter
+    )
 
 
 def _make_visit(
@@ -148,55 +121,6 @@ def _make_visit(
     )
 
 
-def _extract_visits_scalar(
-    pts: List[GpsPoint],
-    user_id: str,
-    config: VisitConfig,
-    poi_index: Optional[GridIndex],
-    start_counter: int = 0,
-) -> List[Visit]:
-    """Reference kernel: sequential scan over time-sorted points.
-
-    The centroid is the running mean ``sum / count``; the sum
-    accumulates one point at a time, which is exactly the order
-    ``np.cumsum`` adds in — the parity contract with the vectorized
-    kernel.
-    """
-    visits: List[Visit] = []
-    n = len(pts)
-    r2 = config.roam_radius_m**2
-    i = 0
-    counter = start_counter
-    while i < n:
-        sx, sy = pts[i].x, pts[i].y
-        cx, cy = sx, sy
-        count = 1
-        j = i
-        while j + 1 < n:
-            nxt = pts[j + 1]
-            if nxt.t - pts[j].t > config.max_gap_s:
-                break
-            if (nxt.x - cx) ** 2 + (nxt.y - cy) ** 2 > r2:
-                break
-            count += 1
-            sx += nxt.x
-            sy += nxt.y
-            cx = sx / count
-            cy = sy / count
-            j += 1
-        if pts[j].t - pts[i].t >= config.dwell_s:
-            visits.append(
-                _make_visit(
-                    user_id, counter, cx, cy, pts[i].t, pts[j].t, config, poi_index
-                )
-            )
-            counter += 1
-            i = j + 1
-        else:
-            i += 1
-    return visits
-
-
 #: Cached 1..n counts vector shared by every window (grown on demand).
 _COUNTS = np.arange(1.0, 1025.0)
 
@@ -216,7 +140,7 @@ def _grow_cluster(
     ``seg_xy`` is the segment's stacked ``(2, m)`` coordinate array.
     Candidates are tested in geometrically growing windows.  Each window
     recomputes the cumulative sum from the cluster start, so the running
-    sums repeat the scalar kernel's additions exactly regardless of how
+    sums repeat a per-point loop's additions exactly regardless of how
     many window growths a long stay needs.  Returns ``(j, centroid)``.
     """
     avail = m - 1 - i
@@ -264,8 +188,8 @@ def _extract_visits_vectorized(
         seg_t = t[a0:b0]
         seg_xy = xy[:, a0:b0]
         # Starts whose immediate neighbour is already outside the roam
-        # radius produce a singleton cluster in the scalar kernel and
-        # can never become a visit (dwell > 0): skip them in bulk.
+        # radius produce a singleton cluster and can never become a
+        # visit (dwell > 0): skip them in bulk.
         # This is every sample recorded while the user was moving.
         step = np.diff(seg_xy, axis=1)
         ok_starts = np.flatnonzero(
@@ -359,9 +283,6 @@ def extract_dataset_visits(
     :class:`repro.runtime.Shard` covering exactly the pending users —
     the streaming store path shards from manifest counts without loading
     segment data.  The merge still enforces exact coverage.
-
-    The stage span carries ``kernel=<scalar|vectorized>`` so traces and
-    manifests identify which kernel produced a run.
     """
     config = config or VisitConfig()
     pending = [
@@ -388,7 +309,6 @@ def extract_dataset_visits(
         results, timing = run_stage(
             "extract", exec_, shards, _extract_shard, payload_of,
             resilience=resilience, fault_plan=fault_plan, health=health,
-            span_attrs={"kernel": resolved_kernel(config)},
         )
     finally:
         if owned:

@@ -39,7 +39,6 @@ def build_study(
     obs=None,
     resilience=None,
     fault_plan=None,
-    visit_config=None,
 ) -> StudyArtifacts:
     """Generate Primary + Baseline and run the validation pipeline on both.
 
@@ -50,9 +49,7 @@ def build_study(
     fault-tolerance layer for both validation runs; each report carries
     its own ``health``.  ``obs`` (an :class:`repro.obs.ObsContext`)
     captures spans and metrics for generation and both validation runs;
-    it never changes results.  ``visit_config`` overrides stay-point
-    extraction parameters (e.g. the CLI's ``--kernel`` knob; the
-    kernels are bit-identical, so the choice never changes results).
+    it never changes results.
     """
     ctx = obs if obs is not None else obs_current()
     exec_, owned = resolve_executor(executor, workers)
@@ -61,11 +58,11 @@ def build_study(
             primary = generate_dataset(primary_config(primary_seed).scaled(scale))
             baseline = generate_dataset(baseline_config(baseline_seed).scaled(scale))
             primary_report = validate(
-                primary, visit_config=visit_config, executor=exec_,
+                primary, executor=exec_,
                 resilience=resilience, fault_plan=fault_plan,
             )
             baseline_report = validate(
-                baseline, visit_config=visit_config, executor=exec_,
+                baseline, executor=exec_,
                 resilience=resilience, fault_plan=fault_plan,
             )
     finally:

@@ -157,18 +157,13 @@ class Figure8MultiResult:
 def run(
     artifacts: StudyArtifacts,
     config: Optional[ManetConfig] = None,
-    engine: Optional[str] = None,
 ) -> Figure8Result:
-    """Fit the three models and simulate the MANET under each.
-
-    ``engine`` optionally overrides the simulation engine (results are
-    identical across engines; the knob exists for parity runs).
-    """
+    """Fit the three models and simulate the MANET under each."""
     config = config or bench_config()
     models = fit_three_models(
         artifacts.primary, artifacts.primary_report.matching.honest_checkins
     )
-    results = run_three_models(list(models), config, engine=engine)
+    results = run_three_models(list(models), config)
     return Figure8Result(results={r.name: r for r in results})
 
 
@@ -176,7 +171,6 @@ def run_multi(
     artifacts: StudyArtifacts,
     config: Optional[ManetConfig] = None,
     seeds: int = 3,
-    engine: Optional[str] = None,
 ) -> Figure8MultiResult:
     """Run Figure 8 under ``seeds`` consecutive MANET seeds.
 
@@ -193,8 +187,6 @@ def run_multi(
     seed_list = [config.seed + offset for offset in range(seeds)]
     runs = []
     for seed in seed_list:
-        results = run_three_models(
-            list(models), dc_replace(config, seed=seed), engine=engine
-        )
+        results = run_three_models(list(models), dc_replace(config, seed=seed))
         runs.append(Figure8Result(results={r.name: r for r in results}))
     return Figure8MultiResult(seeds=seed_list, runs=runs)

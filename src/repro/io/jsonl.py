@@ -12,12 +12,16 @@ app would export, and friendly to streaming tools:
 ``visits.jsonl``   one visit per line (only when extraction has run)
 
 Round-tripping is exact for every field, including the synthetic
-ground-truth ``intent`` label on checkins.
+ground-truth ``intent`` label on checkins.  Both loaders reject a
+non-finite coordinate or timestamp (``NaN``/``Infinity`` tokens or
+``"nan"``/``"inf"`` strings) with a ``ValueError`` naming the file and
+the user or POI, before it can reach a kernel.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
@@ -56,6 +60,41 @@ def _read_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
                 yield json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+
+
+def _non_finite(path: Path, kind: str, owner: str) -> ValueError:
+    return ValueError(
+        f"{path}: {kind} record for {owner} has a non-finite coordinate or time"
+    )
+
+
+def _require_finite(path: Path, kind: str, owner: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise _non_finite(path, kind, owner)
+
+
+def _gps_block(path: Path, user_id: str, t, x, y) -> np.ndarray:
+    """Freeze one user's run of GPS columns into a ``(3, n)`` float64 block."""
+    block = np.array([t, x, y], dtype=np.float64)
+    if not np.isfinite(block).all():
+        raise _non_finite(path, "gps", f"user {user_id!r}")
+    return block
+
+
+def _read_pois(path: Path) -> Dict[str, Poi]:
+    pois: Dict[str, Poi] = {}
+    for poi in map(decode_poi, _read_jsonl(path)):
+        _require_finite(path, "poi", f"POI {poi.poi_id!r}", poi.x, poi.y)
+        pois[poi.poi_id] = poi
+    return pois
+
+
+def _read_checkin(path: Path, record: Dict[str, Any]) -> Checkin:
+    checkin = decode_checkin(record)
+    _require_finite(
+        path, "checkin", f"user {checkin.user_id!r}", checkin.x, checkin.y, checkin.t
+    )
+    return checkin
 
 
 def encode_poi(poi: Poi) -> Dict[str, Any]:
@@ -197,7 +236,7 @@ def load_dataset(directory: Path | str) -> Dataset:
         if not (directory / name).exists():
             raise FileNotFoundError(f"dataset directory {directory} is missing {name}")
     meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
-    pois = {p.poi_id: p for p in map(decode_poi, _read_jsonl(directory / "pois.jsonl"))}
+    pois = _read_pois(directory / "pois.jsonl")
     users: Dict[str, UserData] = {}
     for record in _read_jsonl(directory / "profiles.jsonl"):
         profile = decode_profile(record)
@@ -214,18 +253,19 @@ def load_dataset(directory: Path | str) -> Dataset:
     # user on write, so accumulate floats only for the current run and
     # freeze each run into a compact (3, n) float64 block at the user
     # change — peak list overhead is one user's trace, not the study's.
+    gps_path = directory / "gps.jsonl"
     gps_runs: Dict[str, List[np.ndarray]] = {}
     run_user: Optional[str] = None
     run_t: List[float] = []
     run_x: List[float] = []
     run_y: List[float] = []
-    for record in _read_jsonl(directory / "gps.jsonl"):
+    for record in _read_jsonl(gps_path):
         user_of(record, "gps")
         user_id = record["user_id"]
         if user_id != run_user:
             if run_user is not None:
                 gps_runs.setdefault(run_user, []).append(
-                    np.array([run_t, run_x, run_y], dtype=np.float64)
+                    _gps_block(gps_path, run_user, run_t, run_x, run_y)
                 )
             run_user = user_id
             run_t, run_x, run_y = [], [], []
@@ -234,7 +274,7 @@ def load_dataset(directory: Path | str) -> Dataset:
         run_y.append(float(record["y"]))
     if run_user is not None:
         gps_runs.setdefault(run_user, []).append(
-            np.array([run_t, run_x, run_y], dtype=np.float64)
+            _gps_block(gps_path, run_user, run_t, run_x, run_y)
         )
     for user_id, data in users.items():
         runs = gps_runs.pop(user_id, None)
@@ -243,8 +283,9 @@ def load_dataset(directory: Path | str) -> Dataset:
         else:
             cols = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
             data.gps = GpsTrace(cols[0], cols[1], cols[2])
-    for record in _read_jsonl(directory / "checkins.jsonl"):
-        checkin = decode_checkin(record)
+    checkins_path = directory / "checkins.jsonl"
+    for record in _read_jsonl(checkins_path):
+        checkin = _read_checkin(checkins_path, record)
         user_of(record, "checkin").checkins.append(checkin)
     visits_path = directory / "visits.jsonl"
     if visits_path.exists():
@@ -252,6 +293,10 @@ def load_dataset(directory: Path | str) -> Dataset:
         for record in _read_jsonl(visits_path):
             visit = decode_visit(record)
             user_of(record, "visit")
+            _require_finite(
+                visits_path, "visit", f"user {visit.user_id!r}",
+                visit.x, visit.y, visit.t_start, visit.t_end,
+            )
             per_user[visit.user_id].append(visit)
         for user_id, visits in per_user.items():
             users[user_id].visits = visits
@@ -328,8 +373,14 @@ def iter_user_data(directory: Path | str) -> Iterator[UserData]:
             y.append(float(sample["y"]))
         yield UserData(
             profile=profile,
-            gps=GpsTrace(t, x, y) if t else GpsTrace.empty(),
-            checkins=[decode_checkin(c) for c in checkins.take(profile.user_id)],
+            gps=(
+                GpsTrace(*_gps_block(gps.path, profile.user_id, t, x, y))
+                if t else GpsTrace.empty()
+            ),
+            checkins=[
+                _read_checkin(checkins.path, c)
+                for c in checkins.take(profile.user_id)
+            ],
         )
     gps.finish()
     checkins.finish()
@@ -354,8 +405,6 @@ def load_dataset_into_store(
         meta["name"],
         segment_users=segment_users or DEFAULT_SEGMENT_USERS,
     )
-    writer.write_pois(
-        {p.poi_id: p for p in map(decode_poi, _read_jsonl(directory / "pois.jsonl"))}
-    )
+    writer.write_pois(_read_pois(directory / "pois.jsonl"))
     writer.add_users(iter_user_data(directory))
     return writer.finalize()

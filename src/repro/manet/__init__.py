@@ -1,14 +1,7 @@
 """Mobile ad hoc network simulator with AODV routing."""
 
 from .aodv import AodvNode, Outgoing
-from .config import (
-    ENGINES,
-    ManetConfig,
-    bench_config,
-    paper_config,
-    resolved_engine,
-    scaled_config,
-)
+from .config import ManetConfig, bench_config, paper_config, scaled_config
 from .engine import Simulator, make_cbr_pairs
 from .metrics import FlowStats, ManetResults, MetricsCollector
 from .packets import DataPacket, Rerr, Rrep, Rreq
@@ -18,7 +11,6 @@ from .runner import run_model, run_three_models
 __all__ = [
     "AodvNode",
     "DataPacket",
-    "ENGINES",
     "FlowStats",
     "ManetConfig",
     "ManetResults",
@@ -33,7 +25,6 @@ __all__ = [
     "bench_config",
     "make_cbr_pairs",
     "paper_config",
-    "resolved_engine",
     "run_model",
     "run_three_models",
     "scaled_config",

@@ -73,7 +73,7 @@ class AodvNode:
         """True when :meth:`tick` housekeeping has any state to examine.
 
         With no duplicate-RREQ memory and no pending discoveries a tick
-        is a no-op; the vectorized engine uses this to skip the call.
+        is a no-op; the engine uses this to skip the call.
         """
         return bool(self._seen_rreqs or self._pending)
 

@@ -16,9 +16,6 @@ from dataclasses import dataclass, replace
 
 from ..geo import units
 
-#: Recognised simulation engines (``auto`` resolves to ``vectorized``).
-ENGINES = ("auto", "vectorized", "scalar")
-
 
 @dataclass(frozen=True)
 class ManetConfig:
@@ -57,11 +54,6 @@ class ManetConfig:
     ring_start_ttl: int = 2
     #: RNG seed for node placement and pair selection.
     seed: int = 1
-    #: Simulation engine: ``auto`` | ``vectorized`` | ``scalar``.  The
-    #: engines produce byte-identical results; the knob exists for
-    #: parity testing, benchmarking and fallback (mirroring
-    #: ``VisitConfig.kernel``).  ``auto`` picks the vectorized engine.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
@@ -74,20 +66,11 @@ class ManetConfig:
             raise ValueError("time parameters must be positive")
         if self.radio_range_m <= 0 or self.arena_m <= 0:
             raise ValueError("geometry parameters must be positive")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose one of {', '.join(ENGINES)}"
-            )
 
     @property
     def n_ticks(self) -> int:
         """Total simulation ticks."""
         return int(round(self.duration_s / self.dt_s))
-
-
-def resolved_engine(config: ManetConfig) -> str:
-    """The concrete engine ``config`` selects (``auto`` → vectorized)."""
-    return "scalar" if config.engine == "scalar" else "vectorized"
 
 
 def paper_config(seed: int = 1) -> ManetConfig:

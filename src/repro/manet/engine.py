@@ -8,25 +8,16 @@ emit packets, (5) drains node outboxes into the next tick's air, and
 (6) samples every flow's route state for the availability and
 route-change metrics.
 
-Two engines implement the same tick, selected by ``ManetConfig.engine``
-(mirroring the ``VisitConfig.kernel`` convention):
-
-``scalar``
-    The reference implementation: per-node ``position_at`` calls, one
-    ``GridIndex.within`` query per broadcast, one ``_in_range`` check
-    per unicast.  Kept as the parity baseline.
-
-``vectorized`` (the ``auto`` default)
-    Columnar per-tick phases: node positions are interpolated in blocks
-    of ticks (one ``positions_at`` call per node per block), the grid
-    index is bulk-loaded from coordinate arrays on ticks whose air
-    contains broadcasts (:meth:`GridIndex.from_columns`, no per-point
-    Python work), all of a tick's broadcast neighbourhoods come from
-    one ``within_many`` batch, all unicast range checks from one NumPy
-    distance pass, and housekeeping/outbox draining only touch nodes
-    with protocol state.  Per-message delivery still walks the air in
-    order, so per-node receive sequences — and therefore results — are
-    byte-identical to the scalar engine.
+The tick is columnar.  Node positions are interpolated in blocks of
+ticks (one ``positions_at`` call per node per block); the grid index is
+bulk-loaded from coordinate arrays only on ticks whose air contains
+broadcasts (:meth:`GridIndex.from_columns`, no per-point Python work);
+all of a tick's broadcast neighbourhoods come from one ``within_many``
+batch and all unicast range checks from one NumPy distance pass; and
+housekeeping/outbox draining only touch nodes with protocol state.
+Per-message delivery still walks the air in order, so per-node receive
+sequences — and therefore results — are byte-identical to a plain
+per-node, per-message loop (the parity oracle in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -39,13 +30,13 @@ from ..geo import GridIndex
 from ..levy import NodeTrace
 from ..obs import current as obs_current
 from .aodv import AodvNode, Outgoing
-from .config import ManetConfig, resolved_engine
+from .config import ManetConfig
 from .metrics import ManetResults, MetricsCollector
 from .packets import DataPacket, Rerr, Rrep, Rreq
 
-#: Ticks of node positions interpolated per vectorized block.  Bounds
-#: the position buffer at ``2 * 8 * n_nodes * _POSITION_BLOCK_TICKS``
-#: bytes (8 MB at 1000 nodes) while amortising interpolation overhead.
+#: Ticks of node positions interpolated per block.  Bounds the position
+#: buffer at ``2 * 8 * n_nodes * _POSITION_BLOCK_TICKS`` bytes (8 MB at
+#: 1000 nodes) while amortising interpolation overhead.
 _POSITION_BLOCK_TICKS = 512
 
 
@@ -105,55 +96,9 @@ class Simulator:
             AodvNode(i, config, self.metrics) for i in range(config.n_nodes)
         ]
         self._air: List[Outgoing] = []
-        self._positions = np.zeros((config.n_nodes, 2))
         self._node_ids = list(range(config.n_nodes))
         self._last_route: Dict[int, Optional[tuple]] = {f: None for f in self.pairs}
         self._data_seq: Dict[int, int] = {f: 0 for f in self.pairs}
-
-    # -- per-tick phases (scalar reference) --------------------------------
-
-    def _update_positions(self, now: float) -> GridIndex:
-        index: GridIndex = GridIndex(cell_size=self.config.radio_range_m)
-        for i, trace in enumerate(self.traces):
-            x, y = trace.position_at(now)
-            self._positions[i, 0] = x
-            self._positions[i, 1] = y
-            index.insert(x, y, i)
-        return index
-
-    def _in_range(self, a: int, b: int) -> bool:
-        dx = self._positions[a, 0] - self._positions[b, 0]
-        dy = self._positions[a, 1] - self._positions[b, 1]
-        return dx * dx + dy * dy <= self.config.radio_range_m**2
-
-    def _deliver(self, index: GridIndex, now: float) -> None:
-        air, self._air = self._air, []
-        for message in air:
-            sender = message.sender
-            if message.is_broadcast:
-                neighbors = index.within(
-                    self._positions[sender, 0],
-                    self._positions[sender, 1],
-                    self.config.radio_range_m,
-                )
-                for _, node_id in neighbors:
-                    if node_id != sender:
-                        self.nodes[node_id].receive(message.payload, sender, now)
-            else:
-                target = message.to
-                assert target is not None
-                if self._in_range(sender, target):
-                    self.nodes[target].receive(message.payload, sender, now)
-                else:
-                    self.nodes[sender].on_unicast_failed(message.payload, target, now)
-
-    def _emit_traffic(self, tick: int, now: float) -> None:
-        period_ticks = max(1, int(round(self.config.cbr_interval_s / self.config.dt_s)))
-        for flow_id, (src, dst) in self.pairs.items():
-            # Stagger flows so discoveries do not synchronise artificially.
-            if (tick + flow_id) % period_ticks != 0:
-                continue
-            self._emit_packet(flow_id, src, dst, tick, now)
 
     def _emit_packet(self, flow_id: int, src: int, dst: int, tick: int, now: float) -> None:
         self._data_seq[flow_id] += 1
@@ -167,24 +112,7 @@ class Simulator:
         self.metrics.data_sent(flow_id)
         self.nodes[src].originate_data(packet, now)
 
-    def _drain_outboxes(self) -> None:
-        for node in self.nodes:
-            if not node.outbox:
-                continue
-            for message in node.drain_outbox():
-                if isinstance(message.payload, (Rreq, Rrep, Rerr)):
-                    self.metrics.count_control(message.payload.pair_id)
-                self._air.append(message)
-
-    def _sample_routes(self, now: float) -> None:
-        for flow_id, (src, dst) in self.pairs.items():
-            route = self.nodes[src].has_route(dst, now)
-            previous = self._last_route[flow_id]
-            changed = route != previous
-            self._last_route[flow_id] = route
-            self.metrics.sample_route(flow_id, available=route is not None, changed=changed)
-
-    # -- per-tick phases (vectorized) --------------------------------------
+    # -- per-tick phases ------------------------------------------------------
 
     def _deliver_vectorized(
         self, xs: np.ndarray, ys: np.ndarray, now: float, touched: Set[int]
@@ -194,7 +122,7 @@ class Simulator:
 
         The in-order dispatch is what preserves parity: a node receiving
         from message *k* and then message *k + 1* sees the same sequence
-        as under the scalar engine, so its outbox (and the next tick's
+        as under a per-message loop, so its outbox (and the next tick's
         air) is identical.  The spatial index is built here, and only on
         ticks whose air actually contains broadcasts — unicast checks
         read the coordinate arrays directly, and in sparse networks most
@@ -256,7 +184,7 @@ class Simulator:
         Every outbox-filling path (delivery, failed-unicast feedback,
         housekeeping retries, traffic origination) records the node in
         ``touched``, and the previous tick left all outboxes empty — so
-        the sorted walk visits exactly the nodes the scalar full scan
+        the sorted walk visits exactly the nodes a full scan of all nodes
         would find non-empty, in the same order.
         """
         metrics = self.metrics
@@ -270,7 +198,8 @@ class Simulator:
                     metrics.count_control(message.payload.pair_id)
                 air.append(message)
 
-    def _run_vectorized(self) -> None:
+    def _run_ticks(self) -> None:
+        """The simulation's tick loop, every phase for every tick."""
         config = self.config
         n_nodes = config.n_nodes
         dt = config.dt_s
@@ -290,7 +219,7 @@ class Simulator:
         # engine-visible events — a receive, a failed unicast, or a
         # traffic origination — so the set grows exactly at those points
         # and a node drops out once its state drains.  Everyone else's
-        # tick() is a no-op the scalar engine performs and this one skips.
+        # tick() is a no-op that a full scan would perform and this skips.
         busy: Set[int] = set()
         block_x = block_y = None
         block_start = block_end = 0
@@ -313,7 +242,7 @@ class Simulator:
             # (2)+(3) Batched delivery over the tick's air.
             self._deliver_vectorized(xs, ys, now, touched)
             # Housekeeping over nodes that may hold protocol state, in
-            # node-id order like the scalar full scan.
+            # node-id order like a full scan.
             busy |= touched
             for node_id in sorted(busy):
                 node = nodes[node_id]
@@ -335,24 +264,11 @@ class Simulator:
                 last_route[flow_id] = route
                 sample_route(flow_id, available=route is not None, changed=changed)
 
-    def _run_scalar(self) -> None:
-        config = self.config
-        for tick in range(config.n_ticks):
-            now = tick * config.dt_s
-            index = self._update_positions(now)
-            self._deliver(index, now)
-            for node in self.nodes:
-                node.tick(now)
-            self._emit_traffic(tick, now)
-            self._drain_outboxes()
-            self._sample_routes(now)
-
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> ManetResults:
         """Run the simulation to completion and return per-flow metrics."""
         config = self.config
-        engine = resolved_engine(config)
         obs = obs_current()
         with obs.span(
             "manet.run",
@@ -360,12 +276,8 @@ class Simulator:
             nodes=config.n_nodes,
             pairs=len(self.pairs),
             ticks=config.n_ticks,
-            engine=engine,
         ):
-            if engine == "vectorized":
-                self._run_vectorized()
-            else:
-                self._run_scalar()
+            self._run_ticks()
         obs.count("manet.runs_total", 1)
         obs.count("manet.ticks_total", config.n_ticks)
         obs.count("manet.control_packets_total", self.metrics.total_control)

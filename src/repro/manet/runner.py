@@ -7,7 +7,6 @@ GPS-, honest-checkin- and all-checkin-trained mobility.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,16 +22,8 @@ def run_model(
     config: ManetConfig,
     seed: Optional[int] = None,
     pairs: Optional[Dict[int, Tuple[int, int]]] = None,
-    engine: Optional[str] = None,
 ) -> ManetResults:
-    """Generate mobility from ``model`` and simulate AODV over it.
-
-    ``engine`` overrides ``config.engine`` when given; both engines
-    produce identical results, so the knob only matters for parity
-    testing and benchmarks.
-    """
-    if engine is not None:
-        config = replace(config, engine=engine)
+    """Generate mobility from ``model`` and simulate AODV over it."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
     traces = generate_fleet(
         model, config.n_nodes, config.arena_m, config.duration_s, rng
@@ -45,7 +36,6 @@ def run_three_models(
     models: Sequence[LevyWalkModel],
     config: ManetConfig,
     seed: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> List[ManetResults]:
     """Simulate several mobility models under identical traffic.
 
@@ -60,7 +50,6 @@ def run_three_models(
             config,
             seed=(config.seed if seed is None else seed) + i,
             pairs=pairs,
-            engine=engine,
         )
         for i, model in enumerate(models)
     ]

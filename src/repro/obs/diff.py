@@ -7,7 +7,7 @@ classifies every difference as either
 * ``info`` — expected variation between legitimate re-runs: worker
   count, package/Python versions, execution-shape metrics (the
   ``runtime.*`` family scales with the shard layout), sub-threshold
-  wall-time movement, the extraction kernel (kernels are bit-identical);
+  wall-time movement, the path the data was read from;
 * ``regression`` — something the determinism contract says must not
   move: the config hash, the dataset fingerprint, seeds, any semantic
   metric (``matching.*``, ``classify.*``, ``extract.*``, ``synth.*``,
@@ -41,9 +41,9 @@ EXECUTION_METRIC_PREFIXES = ("runtime.",)
 INFO_FIELDS = ("command", "package_version", "python_version", "workers")
 
 #: ``extra`` keys that never gate a diff: health/profile describe how a
-#: particular execution went, and the kernels are bit-identical.
+#: particular execution went, and the same data may sit at another path.
 SKIP_EXTRA_KEYS = frozenset({"health", "profile"})
-INFO_EXTRA_KEYS = frozenset({"extract.kernel", "data"})
+INFO_EXTRA_KEYS = frozenset({"data"})
 
 #: Default per-stage wall-time regression gate.
 WALL_REL_THRESHOLD = 0.25

@@ -252,15 +252,12 @@ def run_stage(
     resilience: Optional[ResilienceConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
     health: Optional[RunHealth] = None,
-    span_attrs: Optional[dict] = None,
 ) -> Tuple[List[Any], StageTiming]:
     """Run one sharded stage and capture its timings.
 
     ``worker`` must be a top-level (picklable) function taking the
     payload built by ``payload_of``.  Shard failures surface as
     :class:`ShardError` naming the stage, shard and users.
-    ``span_attrs`` adds stage-specific attributes (e.g. the kernel a
-    stage selected) to the ``stage.<name>`` span.
 
     ``resilience`` arms the retry/timeout/fallback layer (see
     :mod:`repro.runtime.resilience`); under its ``skip_and_report``
@@ -283,7 +280,6 @@ def run_stage(
         executor=executor.name,
         workers=executor.workers,
         shards=len(shards),
-        **(span_attrs or {}),
     ) as stage_span:
         t0 = time.perf_counter()
         payloads = [payload_of(shard) for shard in shards]

@@ -1,0 +1,172 @@
+"""Scalar reference implementations: the parity oracles.
+
+Production has one implementation per stage — the columnar stay-point
+kernel in :mod:`repro.core.visits` and the batched MANET tick loop in
+:mod:`repro.manet.engine`.  The plain per-point / per-node loops they
+were derived from live here, where the parity suites compare production
+against them byte for byte (``test_visits_kernels.py``,
+``test_manet_engines.py``).  Each oracle is the most direct reading of
+the algorithm; none of it is tuned.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence
+
+import numpy as np
+
+from repro.core.visits import VisitConfig, _make_visit
+from repro.geo import GridIndex
+from repro.manet import Simulator
+from repro.manet.packets import Rerr, Rrep, Rreq
+from repro.model import GpsPoint, GpsTrace, Visit
+
+
+def extract_visits_scalar(
+    points: Sequence[GpsPoint] | GpsTrace,
+    user_id: str,
+    config: Optional[VisitConfig] = None,
+    poi_index: Optional[GridIndex] = None,
+    start_counter: int = 0,
+) -> List[Visit]:
+    """Oracle for :func:`repro.core.extract_visits` (same signature)."""
+    pts = sorted(points, key=lambda p: p.t)
+    return _extract_visits_scalar(
+        pts, user_id, config or VisitConfig(), poi_index, start_counter
+    )
+
+
+def _extract_visits_scalar(
+    pts: List[GpsPoint],
+    user_id: str,
+    config: VisitConfig,
+    poi_index: Optional[GridIndex],
+    start_counter: int = 0,
+) -> List[Visit]:
+    """Reference kernel: sequential scan over time-sorted points.
+
+    The centroid is the running mean ``sum / count``; the sum
+    accumulates one point at a time, which is exactly the order
+    ``np.cumsum`` adds in — the parity contract with the production
+    kernel.
+    """
+    visits: List[Visit] = []
+    n = len(pts)
+    r2 = config.roam_radius_m**2
+    i = 0
+    counter = start_counter
+    while i < n:
+        sx, sy = pts[i].x, pts[i].y
+        cx, cy = sx, sy
+        count = 1
+        j = i
+        while j + 1 < n:
+            nxt = pts[j + 1]
+            if nxt.t - pts[j].t > config.max_gap_s:
+                break
+            if (nxt.x - cx) ** 2 + (nxt.y - cy) ** 2 > r2:
+                break
+            count += 1
+            sx += nxt.x
+            sy += nxt.y
+            cx = sx / count
+            cy = sy / count
+            j += 1
+        if pts[j].t - pts[i].t >= config.dwell_s:
+            visits.append(
+                _make_visit(
+                    user_id, counter, cx, cy, pts[i].t, pts[j].t, config, poi_index
+                )
+            )
+            counter += 1
+            i = j + 1
+        else:
+            i += 1
+    return visits
+
+
+class ScalarSimulator(Simulator):
+    """Oracle for :class:`repro.manet.Simulator`: the reference tick loop.
+
+    Per-node ``position_at`` calls and a freshly filled grid index every
+    tick, one ``GridIndex.within`` query per broadcast, one range check
+    per unicast, and every node's housekeeping, outbox and route state
+    scanned every tick.  Only the loop differs; construction, traffic
+    origination and the result assembly of :meth:`run` are inherited.
+    """
+
+    def _update_positions(self, now: float) -> GridIndex:
+        index: GridIndex = GridIndex(cell_size=self.config.radio_range_m)
+        for i, trace in enumerate(self.traces):
+            x, y = trace.position_at(now)
+            self._positions[i, 0] = x
+            self._positions[i, 1] = y
+            index.insert(x, y, i)
+        return index
+
+    def _in_range(self, a: int, b: int) -> bool:
+        dx = self._positions[a, 0] - self._positions[b, 0]
+        dy = self._positions[a, 1] - self._positions[b, 1]
+        return dx * dx + dy * dy <= self.config.radio_range_m**2
+
+    def _deliver(self, index: GridIndex, now: float) -> None:
+        air, self._air = self._air, []
+        for message in air:
+            sender = message.sender
+            if message.is_broadcast:
+                neighbors = index.within(
+                    self._positions[sender, 0],
+                    self._positions[sender, 1],
+                    self.config.radio_range_m,
+                )
+                for _, node_id in neighbors:
+                    if node_id != sender:
+                        self.nodes[node_id].receive(message.payload, sender, now)
+            else:
+                target = message.to
+                assert target is not None
+                if self._in_range(sender, target):
+                    self.nodes[target].receive(message.payload, sender, now)
+                else:
+                    self.nodes[sender].on_unicast_failed(message.payload, target, now)
+
+    def _emit_traffic(self, tick: int, now: float) -> None:
+        period_ticks = max(1, int(round(self.config.cbr_interval_s / self.config.dt_s)))
+        for flow_id, (src, dst) in self.pairs.items():
+            # Stagger flows so discoveries do not synchronise artificially.
+            if (tick + flow_id) % period_ticks != 0:
+                continue
+            self._emit_packet(flow_id, src, dst, tick, now)
+
+    def _drain_outboxes(self) -> None:
+        for node in self.nodes:
+            if not node.outbox:
+                continue
+            for message in node.drain_outbox():
+                if isinstance(message.payload, (Rreq, Rrep, Rerr)):
+                    self.metrics.count_control(message.payload.pair_id)
+                self._air.append(message)
+
+    def _sample_routes(self, now: float) -> None:
+        for flow_id, (src, dst) in self.pairs.items():
+            route = self.nodes[src].has_route(dst, now)
+            previous = self._last_route[flow_id]
+            changed = route != previous
+            self._last_route[flow_id] = route
+            self.metrics.sample_route(flow_id, available=route is not None, changed=changed)
+
+    def _run_scalar(self) -> None:
+        config = self.config
+        self._positions = np.zeros((config.n_nodes, 2))
+        for tick in range(config.n_ticks):
+            now = tick * config.dt_s
+            index = self._update_positions(now)
+            self._deliver(index, now)
+            for node in self.nodes:
+                node.tick(now)
+            self._emit_traffic(tick, now)
+            self._drain_outboxes()
+            self._sample_routes(now)
+
+    #: The one loop :meth:`Simulator.run` calls.
+    _run_ticks = _run_scalar

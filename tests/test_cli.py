@@ -350,6 +350,18 @@ def test_manet_rejects_nonpositive_seeds(capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--kernel", "scalar"],
+    ["manet", "--engine", "scalar"],
+])
+def test_no_implementation_selector_flags(argv, capsys):
+    """Each stage has one implementation, so there is nothing to select."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 class TestPipelinedCliFlags:
     """--inflight-segments / --quiet / parallel disk generate."""
 

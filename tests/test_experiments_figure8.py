@@ -66,7 +66,7 @@ def test_headline_within_fidelity_bands(result):
     Pins the simulation's qualitative behaviour after the AODV protocol
     fixes (own-RREQ suppression timestamp, stale-sequence resurrection):
     the headline ratios must not drift past the registry's fail
-    tolerances, whichever engine produced them.
+    tolerances.
     """
     stats = result.headline()
     assert stats, "headline produced no figure8 statistics"

@@ -223,3 +223,53 @@ def test_load_dataset_bounds_gps_list_overhead(tmp_path):
     # gives the streaming loader headroom without readmitting the bug.
     assert peak < 4 * payload, f"peak {peak} vs payload {payload}"
     assert all(len(u.gps) == n_samples for u in loaded.users.values())
+
+
+#: Non-finite values as JSONL exports carry them: quoted strings that
+#: ``float()`` parses, and the bare tokens Python's ``json`` accepts.
+NON_FINITE = ['"nan"', '"inf"', "NaN", "Infinity", "-Infinity"]
+
+
+def poison(path, field, token):
+    """Rewrite the first record of a JSONL file with ``field`` set to the
+    raw JSON text ``token``."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record[field] = "@"
+    lines[0] = json.dumps(record).replace('"@"', token)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+@pytest.mark.parametrize("filename, field", [
+    ("gps.jsonl", "t"), ("gps.jsonl", "x"),
+    ("checkins.jsonl", "y"), ("checkins.jsonl", "t"),
+])
+@pytest.mark.parametrize("loader", ["load_dataset", "iter_user_data"])
+def test_non_finite_values_rejected(tmp_path, dataset, loader, filename, field, token):
+    from repro.io import iter_user_data
+
+    save_dataset(raw_dataset(dataset), tmp_path / "ds")
+    poison(tmp_path / "ds" / filename, field, token)
+    with pytest.raises(ValueError, match=rf"{filename}: .*user 'u0'.*non-finite"):
+        if loader == "load_dataset":
+            load_dataset(tmp_path / "ds")
+        else:
+            list(iter_user_data(tmp_path / "ds"))
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_non_finite_poi_and_visit_rejected(tmp_path, dataset, token):
+    from repro.io import load_dataset_into_store
+
+    save_dataset(dataset, tmp_path / "ds")
+    poison(tmp_path / "ds" / "visits.jsonl", "x", token)
+    with pytest.raises(ValueError, match=r"visits\.jsonl: .*user 'u0'"):
+        load_dataset(tmp_path / "ds")
+
+    save_dataset(raw_dataset(dataset), tmp_path / "raw")
+    poison(tmp_path / "raw" / "pois.jsonl", "y", token)
+    with pytest.raises(ValueError, match=r"pois\.jsonl: .*POI 'p0'"):
+        load_dataset(tmp_path / "raw")
+    with pytest.raises(ValueError, match=r"pois\.jsonl: .*POI 'p0'"):
+        load_dataset_into_store(tmp_path / "raw", tmp_path / "store")

@@ -1,10 +1,9 @@
-"""Scalar vs vectorized MANET engines: exact (byte-level) parity.
+"""Production MANET engine vs the scalar oracle: byte-level parity.
 
-The vectorized engine must reproduce the scalar reference *exactly* —
-same per-flow counters, same summary strings, same control totals — for
-any configuration and seed.  Mirrors ``test_visits_kernels.py``: the
-scalar engine is the semantic reference; the vectorized engine is the
-one production uses (``engine="auto"``).
+:class:`repro.manet.Simulator` must reproduce the reference tick loop
+(``oracles.ScalarSimulator``) *exactly* — same per-flow counters, same
+summary strings, same control totals — for any configuration and seed.
+Mirrors ``test_visits_kernels.py``.
 
 Dense and sparse arenas exercise different code paths (broadcast-heavy
 floods vs mostly-empty air with the per-tick index build skipped), so
@@ -20,15 +19,13 @@ import pytest
 
 from repro.geo import units
 from repro.levy import LevyWalkModel, generate_fleet
+from oracles import ScalarSimulator
 from repro.manet import (
-    ENGINES,
     ManetConfig,
     Simulator,
     bench_config,
     make_cbr_pairs,
     paper_config,
-    resolved_engine,
-    run_model,
     scaled_config,
 )
 from repro.stats import ParetoFit
@@ -45,9 +42,8 @@ def toy_model(name: str = "toy") -> LevyWalkModel:
     )
 
 
-def run_engine(config: ManetConfig, engine: str):
+def run_engine(config: ManetConfig, simulator: type):
     """One full simulation; returns everything results depend on."""
-    config = replace(config, engine=engine)
     rng = np.random.default_rng(config.seed)
     traces = generate_fleet(
         toy_model(), config.n_nodes, config.arena_m, config.duration_s, rng
@@ -55,28 +51,19 @@ def run_engine(config: ManetConfig, engine: str):
     pairs = make_cbr_pairs(
         config.n_nodes, config.n_pairs, np.random.default_rng(config.seed)
     )
-    sim = Simulator(config, traces, pairs=pairs)
+    sim = simulator(config, traces, pairs=pairs)
     results = sim.run()
     return results, sim.metrics.total_control, sim.metrics.unattributed_control
 
 
 def assert_engines_identical(config: ManetConfig) -> None:
-    scalar, s_control, s_unattr = run_engine(config, "scalar")
-    vector, v_control, v_unattr = run_engine(config, "vectorized")
+    scalar, s_control, s_unattr = run_engine(config, ScalarSimulator)
+    vector, v_control, v_unattr = run_engine(config, Simulator)
     # Dataclass dict equality compares every counter exactly.
     assert [asdict(f) for f in vector.flows] == [asdict(f) for f in scalar.flows]
     assert vector.summary() == scalar.summary()
     assert v_control == s_control
     assert v_unattr == s_unattr
-
-
-def test_engine_knob_validation():
-    assert set(ENGINES) == {"auto", "vectorized", "scalar"}
-    assert resolved_engine(ManetConfig()) == "vectorized"
-    assert resolved_engine(ManetConfig(engine="auto")) == "vectorized"
-    assert resolved_engine(ManetConfig(engine="scalar")) == "scalar"
-    with pytest.raises(ValueError):
-        ManetConfig(engine="simd")
 
 
 def test_scaled_config_preserves_density():
@@ -132,14 +119,6 @@ def test_parity_expanding_ring():
         bench_config(seed=11), duration_s=300.0, expanding_ring=True
     )
     assert_engines_identical(config)
-
-
-def test_run_model_engine_override():
-    """The runner's engine override reproduces the config knob exactly."""
-    config = replace(bench_config(), duration_s=120.0)
-    via_param = run_model(toy_model(), config, engine="scalar")
-    via_config = run_model(toy_model(), replace(config, engine="scalar"))
-    assert via_param.summary() == via_config.summary()
 
 
 @pytest.mark.slow

@@ -27,7 +27,7 @@ def make_manifest(**overrides):
             "gauges": {"matching.extraneous_fraction": 0.8},
             "histograms": {"runtime.shard_wall_s": {"count": 4, "p50": 0.1}},
         },
-        extra={"extract.kernel": "numpy", "data": "/tmp/a"},
+        extra={"data": "/tmp/a"},
         scorecard={"status": "pass", "counts": {}, "checks": [
             {"name": "matching.extraneous_fraction", "status": "pass"},
         ]},
@@ -120,13 +120,12 @@ class TestManifestDiff:
         ))
         assert diff_manifests(a, b).entries == []
 
-    def test_kernel_and_data_path_extras_are_info(self):
+    def test_data_path_extra_is_info(self):
         a = make_manifest()
-        b = variant(a, lambda m: m.extra.update({
-            "extract.kernel": "python", "data": "/tmp/b"}))
+        b = variant(a, lambda m: m.extra.update({"data": "/tmp/b"}))
         diff = diff_manifests(a, b)
         assert not diff.has_regressions
-        assert len(diff.entries) == 2
+        assert len(diff.entries) == 1
 
     def test_scorecard_worsening_flip_is_regression(self):
         a = make_manifest()

@@ -1,8 +1,7 @@
 """Streaming replay must be byte-identical to batch validation.
 
 The replay-parity tier: the golden fixture fed through the streaming
-service event by event, with both extraction kernels, must reproduce
-the batch ``validate()`` run exactly: per-checkin verdicts, missing
+service event by event must reproduce the batch ``validate()`` run exactly: per-checkin verdicts, missing
 visits, summary text, semantic counters, gauges, histograms, dataset
 fingerprint, and (through the CLI) the manifest's fidelity scorecard.
 The golden fixture's users each span several settlement-horizon gaps,
@@ -18,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core import VisitConfig, validate
+from repro.core import validate
 from repro.io import load_dataset
 from repro.obs import ObsContext, RunManifest, activate, dataset_fingerprint
 from repro.serve import ServeConfig, ServeStateStore, ValidationService
@@ -53,19 +52,18 @@ def golden():
     return load_dataset(GOLDEN_DIR)
 
 
-def batch_run(dataset, kernel):
+def batch_run(dataset):
     ctx = ObsContext()
     with activate(ctx):
-        report = validate(dataset, visit_config=VisitConfig(kernel=kernel))
+        report = validate(dataset)
     return report, ctx
 
 
-def serve_run(dataset, kernel, **service_kwargs):
+def serve_run(dataset, **service_kwargs):
     ctx = ObsContext()
-    config = ServeConfig(visit=VisitConfig(kernel=kernel))
     service = ValidationService(
         dataset.pois,
-        config,
+        ServeConfig(),
         name=dataset.name,
         obs=ctx,
         **service_kwargs,
@@ -103,10 +101,9 @@ def serve_verdict_view(service):
 
 
 class TestReplayParity:
-    @pytest.mark.parametrize("kernel", ["vectorized", "scalar"])
-    def test_stream_matches_batch(self, golden, kernel):
-        report, batch_ctx = batch_run(golden, kernel)
-        service, summary, serve_ctx = serve_run(golden, kernel)
+    def test_stream_matches_batch(self, golden):
+        report, batch_ctx = batch_run(golden)
+        service, summary, serve_ctx = serve_run(golden)
 
         assert summary.summary() == report.summary()
         assert serve_verdict_view(service) == batch_verdict_view(report)

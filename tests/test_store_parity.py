@@ -4,7 +4,7 @@ The out-of-core path (``validate --store disk``) restructures *how* the
 study flows through the pipeline — segment streaming, manifest-count
 sharding, incremental merging — but must never change *what* comes out.
 This suite pins that contract on the golden fixture across worker
-counts and both extraction kernels, at the API level and end to end
+counts, at the API level and end to end
 through the CLI: stdout, summary text, per-user results, dataset
 fingerprint, semantic metrics, and the fidelity scorecard all compare
 equal, and checkpoint replay reproduces the same bytes again.
@@ -90,9 +90,8 @@ def result_lines(stdout: str):
 
 class TestCliParity:
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("kernel", ["vectorized", "scalar"])
-    def test_disk_matches_memory(self, tmp_path, capsys, workers, kernel):
-        base = ["--workers", str(workers), "--kernel", kernel]
+    def test_disk_matches_memory(self, tmp_path, capsys, workers):
+        base = ["--workers", str(workers)]
         memory = run_cli(tmp_path, "memory", *base)
         memory_out = capsys.readouterr().out
         disk = run_cli(tmp_path, "disk", *base,
@@ -108,7 +107,6 @@ class TestCliParity:
         # The disk run declares itself and spans several segments.
         assert disk.extra["store"]["mode"] == "disk"
         assert disk.extra["store"]["count"] > 1
-        assert disk.extra["extract.kernel"] == kernel
 
     def test_disk_store_counts_segments(self, tmp_path, capsys):
         manifest = run_cli(tmp_path, "d", "--store", "disk",
@@ -148,12 +146,9 @@ class TestApiParity:
     def memory_report(self):
         return validate(load_dataset(GOLDEN_DIR))
 
-    @pytest.mark.parametrize("kernel", ["vectorized", "scalar"])
-    def test_full_report_parity(self, store, kernel):
-        reference = validate(load_dataset(GOLDEN_DIR),
-                             visit_config=VisitConfig(kernel=kernel))
-        report = validate_store(store, visit_config=VisitConfig(kernel=kernel),
-                                keep_results=True)
+    def test_full_report_parity(self, store, memory_report):
+        reference = memory_report
+        report = validate_store(store, keep_results=True)
         assert report.summary() == reference.summary()
         assert report.type_counts() == reference.type_counts()
         assert list(report.matching.per_user) == list(reference.matching.per_user)
@@ -205,7 +200,7 @@ class TestApiParity:
     def test_config_change_invalidates_checkpoints(self, store, tmp_path):
         ckpt = tmp_path / "ckpt"
         validate_store(store, checkpoints=ckpt)
-        rerun = validate_store(store, visit_config=VisitConfig(kernel="scalar"),
+        rerun = validate_store(store, visit_config=VisitConfig(dwell_s=420.0),
                                checkpoints=ckpt)
         assert rerun.segments_reused == 0
 

@@ -1,11 +1,11 @@
-"""Scalar vs vectorized stay-point kernels: exact (bit-level) parity.
+"""Production stay-point kernel vs the scalar oracle: bit-level parity.
 
-The vectorized kernel must reproduce the scalar reference *exactly* —
-same visit ids, same float64 centroids, same timestamps — for any
-trace.  The property test throws randomised traces with recording gaps,
-jitter and dwell-threshold edge cases at both kernels; the golden tests
-anchor parity to the committed fixture through the full pipeline at
-several worker counts.
+The columnar kernel must reproduce the scalar reference loop
+(``oracles.extract_visits_scalar``) *exactly* — same visit ids, same
+float64 centroids, same timestamps — for any trace.  The property test
+throws randomised traces with recording gaps, jitter and dwell-threshold
+edge cases at both; the golden tests anchor parity to the committed
+fixture through the full pipeline at several worker counts.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import VisitConfig, extract_visits, resolved_kernel, validate
-from repro.core.visits import KERNELS
+from oracles import extract_visits_scalar
+from repro.core import VisitConfig, build_poi_index, extract_visits, validate
 from repro.io import load_dataset
 from repro.model import GpsPoint, GpsTrace
 
@@ -29,9 +29,9 @@ MIN = 60.0
 
 
 def both_kernels(points, config_kwargs=None):
-    kwargs = config_kwargs or {}
-    scalar = extract_visits(points, "u0", VisitConfig(kernel="scalar", **kwargs))
-    vector = extract_visits(points, "u0", VisitConfig(kernel="vectorized", **kwargs))
+    config = VisitConfig(**(config_kwargs or {}))
+    scalar = extract_visits_scalar(points, "u0", config)
+    vector = extract_visits(points, "u0", config)
     return scalar, vector
 
 
@@ -39,15 +39,6 @@ def assert_identical(scalar, vector):
     # Dataclass equality on Visit compares every float field exactly —
     # bit-identity, not approximate agreement.
     assert vector == scalar
-
-
-def test_kernel_knob_validation():
-    assert set(KERNELS) == {"auto", "vectorized", "scalar"}
-    assert resolved_kernel(VisitConfig()) == "vectorized"
-    assert resolved_kernel(VisitConfig(kernel="auto")) == "vectorized"
-    assert resolved_kernel(VisitConfig(kernel="scalar")) == "scalar"
-    with pytest.raises(ValueError):
-        VisitConfig(kernel="simd")
 
 
 @st.composite
@@ -136,17 +127,28 @@ def test_window_growth_covers_long_stays():
     assert_identical(scalar, vector)
 
 
+def scalar_visits(dataset):
+    """Populate every user's visits with the scalar oracle, as the
+    pipeline's extract stage would (it leaves populated users alone)."""
+    poi_index = build_poi_index(dataset.pois)
+    for user_id, data in dataset.users.items():
+        data.visits = extract_visits_scalar(
+            data.gps, user_id, VisitConfig(), poi_index
+        )
+    return dataset
+
+
 @pytest.mark.parametrize("workers", [None, 2])
 @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
 def test_golden_pipeline_identical_for_all_kernels(workers, kernel):
-    """Full pipeline on the committed fixture: every kernel × worker
-    count reproduces the frozen expected counts and summary."""
+    """Full pipeline on the committed fixture: visits from either the
+    oracle or production, at every worker count, reproduce the frozen
+    expected counts and summary."""
     expected = json.loads((GOLDEN_DIR / "expected.json").read_text(encoding="utf-8"))
-    report = validate(
-        load_dataset(GOLDEN_DIR),
-        visit_config=VisitConfig(kernel=kernel),
-        workers=workers,
-    )
+    dataset = load_dataset(GOLDEN_DIR)
+    if kernel == "scalar":
+        scalar_visits(dataset)
+    report = validate(dataset, workers=workers)
     assert report.n_honest == expected["venn"]["honest"]
     assert report.n_extraneous == expected["venn"]["extraneous"]
     assert report.n_missing == expected["venn"]["missing"]
@@ -155,14 +157,8 @@ def test_golden_pipeline_identical_for_all_kernels(workers, kernel):
 
 def test_golden_visits_bit_identical_across_kernels():
     """Strongest form: every extracted visit equal field-for-field."""
-    reports = {
-        kernel: validate(
-            load_dataset(GOLDEN_DIR), visit_config=VisitConfig(kernel=kernel)
-        )
-        for kernel in ("scalar", "vectorized")
-    }
-    scalar = reports["scalar"].dataset
-    vector = reports["vectorized"].dataset
+    vector = validate(load_dataset(GOLDEN_DIR)).dataset
+    scalar = scalar_visits(load_dataset(GOLDEN_DIR))
     assert set(scalar.users) == set(vector.users)
     for user_id in scalar.users:
         assert vector.users[user_id].visits == scalar.users[user_id].visits
