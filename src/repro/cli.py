@@ -735,6 +735,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dataset_error(exc: Exception) -> int:
+    """One line on stderr for a dataset that cannot be loaded; exit 2.
+
+    The loaders' messages already name the file and the offending
+    record (a non-finite coordinate, a reference to an unknown user).
+    """
+    print(f"cannot load dataset: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
     """``validate --store disk``: stream the study through a segment store.
 
@@ -760,9 +770,12 @@ def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
                 if store_dir is None:
                     scratch = tempfile.mkdtemp(prefix="repro-store-")
                     store_dir = scratch
-                store = load_dataset_into_store(
-                    args.data, store_dir, segment_users=args.segment_users
-                )
+                try:
+                    store = load_dataset_into_store(
+                        args.data, store_dir, segment_users=args.segment_users
+                    )
+                except (OSError, ValueError) as exc:
+                    return _dataset_error(exc)
                 extra = {"data": args.data}
             else:
                 config = primary_config()
@@ -837,7 +850,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     seeds = {}
     with activate(ctx):
         if args.data:
-            dataset = load_dataset(args.data)
+            try:
+                dataset = load_dataset(args.data)
+            except (OSError, ValueError) as exc:
+                return _dataset_error(exc)
             extra = {"data": args.data}
         else:
             config = primary_config()
@@ -898,7 +914,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     seeds = {}
     with activate(ctx):
         if args.data:
-            dataset = load_dataset(args.data)
+            try:
+                dataset = load_dataset(args.data)
+            except (OSError, ValueError) as exc:
+                return _dataset_error(exc)
             extra = {"data": args.data}
         else:
             config = primary_config()

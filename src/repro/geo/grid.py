@@ -10,16 +10,16 @@ Two representations coexist: mutable per-cell Python buckets (inserts,
 ``within``/``nearest``) and a lazily built columnar snapshot — flat
 NumPy coordinate arrays grouped cell by cell — that powers the batched
 :meth:`GridIndex.within_many`, which amortises per-query overhead when a
-caller needs candidates for many query points at once.
+caller needs candidates for many query points at once.  Below
+:data:`_BRUTE_FORCE_MAX` points the batch is one blocked (queries x
+points) distance pass, :func:`pairs_within`, which the MANET engine
+also runs directly on node coordinates for a tick's broadcasts.
 
 Either representation can come first.  :meth:`GridIndex.from_columns`
 bulk-loads coordinate arrays straight into the columnar snapshot (one
 vectorised cell-sort, no per-point Python work) and defers building the
 Python buckets until a bucket API (``within``/``nearest``/iteration/
-mutation) is actually used — the MANET engine rebuilds an index from
-node positions every tick and only ever queries it through
-``within_many``, so the snapshot is loaded once and reused for all of
-the tick's queries.
+mutation) is actually used.
 """
 
 from __future__ import annotations
@@ -35,8 +35,43 @@ T = TypeVar("T")
 _Cell = Tuple[int, int]
 
 #: Below this many indexed points a batched query beats cell gathering
-#: with one vectorised distance pass over *all* points per query.
+#: with one vectorised distance pass over *all* points.
 _BRUTE_FORCE_MAX = 4096
+
+#: Elements per row block of a (queries x points) distance pass: bounds
+#: its float64 temporaries at a few hundred KB each, whatever the sizes.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def pairs_within(
+    px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray, radius: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (query, point) pair within ``radius``, from one array pass.
+
+    Evaluates ``(px - qx)**2 + (py - qy)**2 <= radius**2`` over the whole
+    (queries x points) matrix, a block of query rows at a time so memory
+    stays bounded.  Returns the query index, point index and squared
+    distance of each hit, ordered by query, then by point.
+    """
+    r2 = radius * radius
+    step = max(1, _BLOCK_ELEMENTS // max(px.size, 1))
+    found = []
+    for lo in range(0, qx.size, step):
+        bx = qx[lo : lo + step, None]
+        by = qy[lo : lo + step, None]
+        d2 = (px - bx) ** 2 + (py - by) ** 2
+        rows, hit = np.nonzero(d2 <= r2)
+        found.append((rows + lo, hit, d2[rows, hit]))
+    if len(found) == 1:
+        return found[0]
+    rows, hit, d2 = zip(*found)
+    return np.concatenate(rows), np.concatenate(hit), np.concatenate(d2)
+
+
+def split_rows(flat: list, rows: np.ndarray, n_rows: int) -> List[list]:
+    """Cut ``flat`` (one entry per hit, ordered by row) into per-row lists."""
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class GridIndex(Generic[T]):
@@ -192,18 +227,16 @@ class GridIndex(Generic[T]):
         if self._count == 0 or qx.size == 0:
             return [[] for _ in range(qx.size)]
         cols = self._ensure_columns()
-        r2 = radius * radius
-        out: List[List[Tuple[float, T]]] = []
         if self._count <= _BRUTE_FORCE_MAX:
-            # One vectorised pass over every indexed point per query.
-            for x, y in zip(qx.tolist(), qy.tolist()):
-                d2 = (cols.x - x) ** 2 + (cols.y - y) ** 2
-                hit = np.flatnonzero(d2 <= r2)
-                dists = np.sqrt(d2[hit])
-                out.append(
-                    [(d, cols.items[i]) for d, i in zip(dists.tolist(), hit.tolist())]
-                )
-            return out
+            # One blocked array pass over every (query, indexed point) pair.
+            rows, hit, d2 = pairs_within(cols.x, cols.y, qx, qy, radius)
+            items = cols.items
+            flat = [
+                (d, items[i]) for d, i in zip(np.sqrt(d2).tolist(), hit.tolist())
+            ]
+            return split_rows(flat, rows, qx.size)
+        out: List[List[Tuple[float, T]]] = []
+        r2 = radius * radius
         reach = math.ceil(radius / self.cell_size)
         for x, y in zip(qx.tolist(), qy.tolist()):
             cx, cy = self._cell_of(x, y)

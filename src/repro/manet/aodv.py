@@ -25,13 +25,19 @@ from .routing import RoutingTable
 Payload = Union[Rreq, Rrep, Rerr, DataPacket]
 
 
-@dataclass(frozen=True)
 class Outgoing:
-    """One queued transmission: broadcast (to is None) or unicast."""
+    """One queued transmission: broadcast (to is None) or unicast.
 
-    sender: int
-    to: Optional[int]
-    payload: Payload
+    A plain slotted record: one is built per transmission, so it skips
+    the dataclass ``__init__``/``__setattr__`` machinery.
+    """
+
+    __slots__ = ("sender", "to", "payload")
+
+    def __init__(self, sender: int, to: Optional[int], payload: Payload) -> None:
+        self.sender = sender
+        self.to = to
+        self.payload = payload
 
     @property
     def is_broadcast(self) -> bool:
@@ -91,9 +97,12 @@ class AodvNode:
 
     def _note_neighbor(self, neighbor: int, now: float) -> None:
         """Install/refresh the trivial 1-hop route to a heard neighbor."""
-        entry = self.table.get(neighbor)
+        table = self.table
+        if table.has_link(neighbor, now):
+            return  # the update rules would reject the advert
+        entry = table.get(neighbor)
         seq = entry.dest_seq if entry is not None else 0
-        self.table.update(neighbor, neighbor, 1, seq, now)
+        table.update(neighbor, neighbor, 1, seq, now)
 
     def _unicast(self, to: int, payload: Payload) -> None:
         self.outbox.append(Outgoing(sender=self.node_id, to=to, payload=payload))
@@ -181,12 +190,18 @@ class AodvNode:
 
     def tick(self, now: float) -> None:
         """Per-tick housekeeping: discovery timeouts and cache expiry."""
-        expired = [
-            key for key, seen_at in self._seen_rreqs.items()
-            if now - seen_at > self.config.rreq_seen_ttl_s
-        ]
+        # Keys are only ever inserted (never re-stamped) at the current
+        # time, so the dict is ordered by non-decreasing timestamp and
+        # the expired keys are a prefix of it.
+        seen = self._seen_rreqs
+        ttl = self.config.rreq_seen_ttl_s
+        expired = []
+        for key, seen_at in seen.items():
+            if now - seen_at <= ttl:
+                break
+            expired.append(key)
         for key in expired:
-            del self._seen_rreqs[key]
+            del seen[key]
         for dest in list(self._pending):
             pending = self._pending[dest]
             if self.table.usable(dest, now) is not None:
@@ -222,14 +237,15 @@ class AodvNode:
     def receive(self, payload: Payload, sender: int, now: float) -> None:
         """Dispatch one received message."""
         self._note_neighbor(sender, now)
-        if isinstance(payload, Rreq):
+        # Most frequent first: data packets, then (non-duplicate) floods.
+        if isinstance(payload, DataPacket):
+            self._on_data(payload, sender, now)
+        elif isinstance(payload, Rreq):
             self._on_rreq(payload, sender, now)
         elif isinstance(payload, Rrep):
             self._on_rrep(payload, sender, now)
         elif isinstance(payload, Rerr):
             self._on_rerr(payload, sender, now)
-        elif isinstance(payload, DataPacket):
-            self._on_data(payload, sender, now)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown payload type: {type(payload)!r}")
 

@@ -9,15 +9,25 @@ emit packets, (5) drains node outboxes into the next tick's air, and
 route-change metrics.
 
 The tick is columnar.  Node positions are interpolated in blocks of
-ticks (one ``positions_at`` call per node per block); the grid index is
-bulk-loaded from coordinate arrays only on ticks whose air contains
-broadcasts (:meth:`GridIndex.from_columns`, no per-point Python work);
-all of a tick's broadcast neighbourhoods come from one ``within_many``
-batch and all unicast range checks from one NumPy distance pass; and
-housekeeping/outbox draining only touch nodes with protocol state.
+ticks (one ``positions_at`` call per node per block); all of a tick's
+broadcast neighbourhoods come from one (broadcasts x nodes) distance
+pass, in row blocks so memory stays bounded at any node count
+(:func:`repro.geo.grid.pairs_within`), and all unicast range checks
+from one NumPy distance pass; and housekeeping/outbox draining only
+touch nodes with protocol state.
+
+Most receptions in a flood-heavy network are duplicate RREQs: a node
+that already holds the flood key ``(origin, rreq_id)`` drops the
+request after refreshing its 1-hop route to the sender, and usually
+that route is already fresh.  Delivery tests the key against the
+receiver's live duplicate memory before dispatch and, for a duplicate,
+applies only the route refresh (skipping it when the receiver already
+holds a usable 1-hop route) instead of calling ``receive``.
+
 Per-message delivery still walks the air in order, so per-node receive
 sequences — and therefore results — are byte-identical to a plain
-per-node, per-message loop (the parity oracle in ``tests/oracles.py``).
+per-node, per-message loop (the parity oracle in ``tests/oracles.py``,
+which also keeps its own reference node hot paths).
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..geo import GridIndex
+from ..geo.grid import pairs_within, split_rows
 from ..levy import NodeTrace
 from ..obs import current as obs_current
 from .aodv import AodvNode, Outgoing
@@ -96,7 +106,6 @@ class Simulator:
             AodvNode(i, config, self.metrics) for i in range(config.n_nodes)
         ]
         self._air: List[Outgoing] = []
-        self._node_ids = list(range(config.n_nodes))
         self._last_route: Dict[int, Optional[tuple]] = {f: None for f in self.pairs}
         self._data_seq: Dict[int, int] = {f: 0 for f in self.pairs}
 
@@ -114,6 +123,22 @@ class Simulator:
 
     # -- per-tick phases ------------------------------------------------------
 
+    def _neighborhoods(
+        self, xs: np.ndarray, ys: np.ndarray, senders: List[int]
+    ) -> List[List[int]]:
+        """Receivers of each broadcast, in node-id order, sender excluded.
+
+        One (broadcasts x nodes) distance pass for the whole tick, with
+        the arithmetic of a per-sender radius query, so the hit sets are
+        bit-identical to querying each broadcast on its own.
+        """
+        sidx = np.fromiter(senders, dtype=np.intp, count=len(senders))
+        rows, hit, _ = pairs_within(
+            xs, ys, xs[sidx], ys[sidx], self.config.radio_range_m
+        )
+        keep = hit != sidx[rows]
+        return split_rows(hit[keep].tolist(), rows[keep], sidx.size)
+
     def _deliver_vectorized(
         self, xs: np.ndarray, ys: np.ndarray, now: float, touched: Set[int]
     ) -> None:
@@ -123,60 +148,57 @@ class Simulator:
         The in-order dispatch is what preserves parity: a node receiving
         from message *k* and then message *k + 1* sees the same sequence
         as under a per-message loop, so its outbox (and the next tick's
-        air) is identical.  The spatial index is built here, and only on
-        ticks whose air actually contains broadcasts — unicast checks
-        read the coordinate arrays directly, and in sparse networks most
-        ticks carry no traffic at all.
+        air) is identical.  The duplicate-RREQ test reads the receiver's
+        live ``_seen_rreqs`` at dispatch time, so a key first heard
+        earlier in the same tick, or dropped by expiry, is judged exactly
+        as ``receive`` would judge it.
         """
         air, self._air = self._air, []
         if not air:
             return
         nodes = self.nodes
-        broadcast_idx = [k for k, m in enumerate(air) if m.to is None]
-        unicast_idx = [k for k, m in enumerate(air) if m.to is not None]
-        neighbor_hits: Dict[int, List[Tuple[float, int]]] = {}
-        if broadcast_idx:
-            index: GridIndex = GridIndex.from_columns(
-                xs, ys, self._node_ids, cell_size=self.config.radio_range_m
-            )
-            senders = np.fromiter(
-                (air[k].sender for k in broadcast_idx),
-                dtype=np.intp,
-                count=len(broadcast_idx),
-            )
-            hits = index.within_many(
-                xs[senders], ys[senders], self.config.radio_range_m
-            )
-            neighbor_hits = dict(zip(broadcast_idx, hits))
-        in_range: Dict[int, bool] = {}
-        if unicast_idx:
-            sidx = np.fromiter(
-                (air[k].sender for k in unicast_idx),
-                dtype=np.intp,
-                count=len(unicast_idx),
-            )
-            tidx = np.fromiter(
-                (air[k].to for k in unicast_idx),
-                dtype=np.intp,
-                count=len(unicast_idx),
-            )
+        senders = [m.sender for m in air if m.to is None]
+        hoods = iter(self._neighborhoods(xs, ys, senders) if senders else ())
+        unicast = [m for m in air if m.to is not None]
+        in_range = iter(())
+        if unicast:
+            n = len(unicast)
+            sidx = np.fromiter((m.sender for m in unicast), dtype=np.intp, count=n)
+            tidx = np.fromiter((m.to for m in unicast), dtype=np.intp, count=n)
             dx = xs[sidx] - xs[tidx]
             dy = ys[sidx] - ys[tidx]
             ok = (dx * dx + dy * dy) <= self.config.radio_range_m**2
-            in_range = dict(zip(unicast_idx, ok.tolist()))
-        for k, message in enumerate(air):
+            in_range = iter(ok.tolist())
+        for message in air:
             sender = message.sender
-            if message.to is None:
-                for _, node_id in neighbor_hits[k]:
-                    if node_id != sender:
-                        nodes[node_id].receive(message.payload, sender, now)
+            payload = message.payload
+            to = message.to
+            if to is not None:
+                if next(in_range):
+                    nodes[to].receive(payload, sender, now)
+                    touched.add(to)
+                else:
+                    nodes[sender].on_unicast_failed(payload, to, now)
+                    touched.add(sender)
+                continue
+            receivers = next(hoods)
+            if isinstance(payload, Rreq):
+                key = payload.key()
+                for node_id in receivers:
+                    node = nodes[node_id]
+                    if key in node._seen_rreqs:
+                        # A duplicate: receive would only note the
+                        # sender.  No outbox change, and a node holding
+                        # flood keys is already in the busy set.
+                        if not node.table.has_link(sender, now):
+                            node._note_neighbor(sender, now)
+                    else:
+                        node.receive(payload, sender, now)
                         touched.add(node_id)
-            elif in_range[k]:
-                nodes[message.to].receive(message.payload, sender, now)
-                touched.add(message.to)
             else:
-                nodes[sender].on_unicast_failed(message.payload, message.to, now)
-                touched.add(sender)
+                for node_id in receivers:
+                    nodes[node_id].receive(payload, sender, now)
+                    touched.add(node_id)
 
     def _drain_touched(self, touched: Set[int]) -> None:
         """Drain outboxes of the tick's active nodes, in node-id order.

@@ -51,6 +51,19 @@ class RoutingTable:
             return entry
         return None
 
+    def has_link(self, neighbor: int, now: float) -> bool:
+        """True when a usable route of at most one hop to ``neighbor``
+        exists: hearing the neighbour again would change nothing, since
+        its trivial 1-hop advert is neither fresher nor shorter.  On the
+        duplicate-RREQ path, so ``is_usable`` is inlined."""
+        entry = self._entries.get(neighbor)
+        return (
+            entry is not None
+            and entry.hop_count <= 1
+            and entry.valid
+            and entry.expires_at > now
+        )
+
     def refresh(self, dest: int, now: float) -> None:
         """Extend the lifetime of an active route that just carried traffic."""
         entry = self._entries.get(dest)

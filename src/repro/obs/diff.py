@@ -170,12 +170,26 @@ def _flatten(mapping: Mapping[str, Any]) -> Dict[str, Any]:
 def _diff_scorecards(
     diff: ManifestDiff, a: Mapping[str, Any], b: Mapping[str, Any]
 ) -> None:
-    """Flag per-check status flips; worsening flips are regressions."""
+    """Flag per-check status flips; worsening flips are regressions.
+
+    A check only one scorecard lists (the registry gained or lost it
+    between the runs) is reported as info, with ``None`` for the side
+    that lacks it, rather than read as ``skipped``.
+    """
     checks_a = {c["name"]: c for c in a.get("checks", [])}
     checks_b = {c["name"]: c for c in b.get("checks", [])}
     for name in sorted(set(checks_a) | set(checks_b)):
-        status_a = checks_a.get(name, {}).get("status", "skipped")
-        status_b = checks_b.get(name, {}).get("status", "skipped")
+        if name not in checks_a or name not in checks_b:
+            side = "A" if name in checks_a else "B"
+            diff.add(
+                "scorecard", name, "info",
+                checks_a.get(name, {}).get("status"),
+                checks_b.get(name, {}).get("status"),
+                note=f"fidelity check only in run {side}",
+            )
+            continue
+        status_a = checks_a[name].get("status", "skipped")
+        status_b = checks_b[name].get("status", "skipped")
         if status_a == status_b:
             continue
         worsened = _SCORE_RANK[status_b] > _SCORE_RANK[status_a]

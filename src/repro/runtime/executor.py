@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -35,6 +36,16 @@ from .timing import ShardTiming, StageTiming
 
 #: Shards per worker: mild oversubscription lets LPT smooth stragglers.
 OVERSUBSCRIBE = 2
+
+#: Serialises pool submissions across threads.  A fork-context pool
+#: forks its workers inside ``submit``, and each fork briefly holds the
+#: write end of the new worker's sentinel pipe in the parent.  A worker
+#: another thread forks in that window inherits the write end and keeps
+#: it open, so when the first worker dies its pool never sees the
+#: sentinel fire, never marks itself broken, and the dead worker's
+#: future never completes.  The pipelined store walk's lanes each start
+#: and rebuild their own pool, concurrently.
+_SUBMIT_LOCK = threading.Lock()
 
 
 def available_workers() -> int:
@@ -117,9 +128,11 @@ class ParallelExecutor:
 
         The per-shard control the resilience layer needs (timeouts,
         selective retry) lives on the future; ``map`` stays the simple
-        all-or-nothing path.
+        all-or-nothing path.  Safe to call from several threads, each
+        with its own executor (see :data:`_SUBMIT_LOCK`).
         """
-        return self._ensure_pool().submit(fn, payload)
+        with _SUBMIT_LOCK:
+            return self._ensure_pool().submit(fn, payload)
 
     def map(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
         """Apply ``fn`` to each payload across the pool.
@@ -131,8 +144,7 @@ class ParallelExecutor:
         worker (``BrokenProcessPool``) additionally drops the broken
         pool so the executor stays reusable.
         """
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, payload) for payload in payloads]
+        futures = [self.submit(fn, payload) for payload in payloads]
         try:
             return [self._collect(index, future) for index, future in enumerate(futures)]
         except BaseException:

@@ -40,6 +40,7 @@ observability output (retry counters, recovery events) differs.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -316,6 +317,19 @@ def _record_retry(
     )
 
 
+def _submit(executor: Any, fn: Callable[[Any], Any], payload: Any) -> Future:
+    """Submit one shard; a pool that broke earlier in the round (a shard
+    submitted before this one already killed its worker) yields a failed
+    future, so the shard is collected and retried like every other shard
+    the break left unfinished."""
+    try:
+        return executor.submit(fn, payload)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
 def _run_pool(
     stage: str,
     executor: Any,
@@ -340,7 +354,7 @@ def _run_pool(
                 task, plan, stage, shards[index].shard_id, attempts[index],
                 allow_exit=True,
             )
-            inflight.append((index, executor.submit(fn, payloads[index])))
+            inflight.append((index, _submit(executor, fn, payloads[index])))
         failed: Dict[int, BaseException] = {}
         pool_broken = False
         for index, future in inflight:

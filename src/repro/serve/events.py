@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
-from ..model import Checkin, PoiCategory
+from ..model import Checkin, CheckinType, PoiCategory
 
 #: Recognised stream event kinds.
 EVENT_KINDS = ("register", "gps", "checkin")
@@ -106,14 +106,19 @@ def checkin_event(checkin: Checkin) -> StreamEvent:
 
 def event_from_dict(data: Dict[str, Any]) -> StreamEvent:
     """Parse one :meth:`StreamEvent.as_dict` record."""
-    from ..model import CheckinType
-
     kind = data["kind"]
     user_id = data["user_id"]
+    if kind == "gps":
+        # The hot path: most of a stream is fixes.
+        return StreamEvent(
+            kind="gps",
+            user_id=user_id,
+            t=float(data["t"]),
+            x=float(data["x"]),
+            y=float(data["y"]),
+        )
     if kind == "register":
         return register_event(user_id)
-    if kind == "gps":
-        return gps_event(user_id, float(data["t"]), float(data["x"]), float(data["y"]))
     raw = data["checkin"]
     intent = raw.get("intent")
     checkin = Checkin(

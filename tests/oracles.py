@@ -5,8 +5,10 @@ kernel in :mod:`repro.core.visits` and the batched MANET tick loop in
 :mod:`repro.manet.engine`.  The plain per-point / per-node loops they
 were derived from live here, where the parity suites compare production
 against them byte for byte (``test_visits_kernels.py``,
-``test_manet_engines.py``).  Each oracle is the most direct reading of
-the algorithm; none of it is tuned.
+``test_manet_engines.py``).  The MANET oracle also runs its own node
+hot paths (:class:`ReferenceAodvNode`), so the shortcuts production
+takes inside :class:`repro.manet.AodvNode` are checked too.  Each
+oracle is the most direct reading of the algorithm; none of it is tuned.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import numpy as np
 
 from repro.core.visits import VisitConfig, _make_visit
 from repro.geo import GridIndex
-from repro.manet import Simulator
-from repro.manet.packets import Rerr, Rrep, Rreq
+from repro.manet import AodvNode, Simulator
+from repro.manet.aodv import Payload
+from repro.manet.packets import DataPacket, Rerr, Rrep, Rreq
 from repro.model import GpsPoint, GpsTrace, Visit
 
 
@@ -85,15 +88,78 @@ def _extract_visits_scalar(
     return visits
 
 
+class ReferenceAodvNode(AodvNode):
+    """Oracle for the :class:`repro.manet.AodvNode` hot paths.
+
+    Every reception refreshes the 1-hop route to the sender through
+    ``RoutingTable.update``, dispatch tests the payload types in
+    protocol order, and housekeeping scans the whole duplicate-RREQ
+    memory for expired keys.  The protocol handlers are inherited.
+    """
+
+    def _note_neighbor(self, neighbor: int, now: float) -> None:
+        entry = self.table.get(neighbor)
+        seq = entry.dest_seq if entry is not None else 0
+        self.table.update(neighbor, neighbor, 1, seq, now)
+
+    def receive(self, payload: Payload, sender: int, now: float) -> None:
+        self._note_neighbor(sender, now)
+        if isinstance(payload, Rreq):
+            self._on_rreq(payload, sender, now)
+        elif isinstance(payload, Rrep):
+            self._on_rrep(payload, sender, now)
+        elif isinstance(payload, Rerr):
+            self._on_rerr(payload, sender, now)
+        elif isinstance(payload, DataPacket):
+            self._on_data(payload, sender, now)
+        else:
+            raise TypeError(f"unknown payload type: {type(payload)!r}")
+
+    def tick(self, now: float) -> None:
+        expired = [
+            key for key, seen_at in self._seen_rreqs.items()
+            if now - seen_at > self.config.rreq_seen_ttl_s
+        ]
+        for key in expired:
+            del self._seen_rreqs[key]
+        for dest in list(self._pending):
+            pending = self._pending[dest]
+            if self.table.usable(dest, now) is not None:
+                self._flush_pending(dest, now)
+                continue
+            if pending.expires_at > now:
+                continue
+            if pending.retries < self.config.rreq_retries:
+                pending.retries += 1
+                pending.expires_at = now + self.config.discovery_timeout_s * (
+                    2**pending.retries
+                )
+                pending.last_ttl = self._next_ttl(pending.last_ttl)
+                self._send_rreq(dest, pending.pair_id, pending.last_ttl, now)
+            else:
+                for packet in pending.packets:
+                    self.metrics.data_dropped(packet.flow_id)
+                del self._pending[dest]
+
+
 class ScalarSimulator(Simulator):
     """Oracle for :class:`repro.manet.Simulator`: the reference tick loop.
 
     Per-node ``position_at`` calls and a freshly filled grid index every
     tick, one ``GridIndex.within`` query per broadcast, one range check
-    per unicast, and every node's housekeeping, outbox and route state
-    scanned every tick.  Only the loop differs; construction, traffic
-    origination and the result assembly of :meth:`run` are inherited.
+    per unicast, every reception through ``receive``, and every node's
+    housekeeping, outbox and route state scanned every tick, over
+    :class:`ReferenceAodvNode` nodes.  Only the nodes and the loop
+    differ; construction, traffic origination and the result assembly
+    of :meth:`run` are inherited.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.nodes = [
+            ReferenceAodvNode(i, self.config, self.metrics)
+            for i in range(self.config.n_nodes)
+        ]
 
     def _update_positions(self, now: float) -> GridIndex:
         index: GridIndex = GridIndex(cell_size=self.config.radio_range_m)

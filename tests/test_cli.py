@@ -400,3 +400,37 @@ class TestPipelinedCliFlags:
                      "--inflight-segments", "2"])
         assert code == 2
         assert "--store disk" in capsys.readouterr().err
+
+
+class TestMalformedDataset:
+    """A dataset the loader rejects exits 2 with one line, no traceback."""
+
+    @pytest.fixture(scope="class")
+    def nan_data(self, tmp_path_factory):
+        """The golden fixture with one checkin's ``y`` set to NaN."""
+        import shutil
+
+        data = tmp_path_factory.mktemp("malformed") / "golden"
+        shutil.copytree(GOLDEN_DIR, data)
+        path = data / "checkins.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["y"] = float("nan")
+        lines[0] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return data, record["user_id"]
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["validate", "--store", "disk"],
+        ["serve"],
+    ], ids=["validate", "validate-disk", "serve"])
+    def test_nan_coordinate_exits_2(self, nan_data, argv, capsys):
+        data, user_id = nan_data
+        assert main(argv + ["--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("cannot load dataset:")
+        assert "checkins.jsonl" in line
+        assert repr(user_id) in line

@@ -155,6 +155,29 @@ def test_within_many_matches_per_query_within(rng):
         assert sorted(got) == sorted(index.within(x, y, radius))
 
 
+def test_pairs_within_blocks_match_per_query_passes(rng, monkeypatch):
+    """Row blocks change neither the hits, their order, nor a bit of the
+    squared distances, against one distance pass per query."""
+    from repro.geo import grid
+
+    px, py = rng.uniform(0, 1000, size=(2, 97))
+    qx, qy = rng.uniform(-100, 1100, size=(2, 41))
+    radius = 180.0
+    expected = []
+    for q, (x, y) in enumerate(zip(qx.tolist(), qy.tolist())):
+        d2 = (px - x) ** 2 + (py - y) ** 2
+        hit = np.flatnonzero(d2 <= radius * radius)
+        expected += [(q, int(i), float(d2[i])) for i in hit]
+    assert expected
+    for block in (1 << 16, 97 * 5, 1):  # one block, several, one row each
+        monkeypatch.setattr(grid, "_BLOCK_ELEMENTS", block)
+        rows, hit, d2 = grid.pairs_within(px, py, qx, qy, radius)
+        assert list(zip(rows.tolist(), hit.tolist(), d2.tolist())) == expected
+    assert grid.split_rows(["a", "b", "c"], np.array([0, 0, 2]), 4) == [
+        ["a", "b"], [], ["c"], []
+    ]
+
+
 def test_within_many_cell_gather_path(rng):
     # Above the brute-force cutoff the batched query gathers neighbour
     # cells instead; results must not change.

@@ -74,5 +74,15 @@ def test_committed_reference_manifest_matches_fresh_run():
             "regenerate via tests/data/regenerate_golden.py if intentional"
         )
     assert reference.scorecard["status"] == "pass"
+    # The committed scorecard is what today's registry makes of the
+    # reference's own statistics: a check added to the registry later
+    # must be added to the reference too.
+    from repro.obs.fidelity import scorecard_for_manifest
+
+    rescored = json.loads(scorecard_for_manifest(reference).to_json())
+    assert rescored == reference.scorecard, (
+        "committed scorecard is stale; regenerate via "
+        "tests/data/regenerate_golden.py"
+    )
     # Self-diff sanity: the reference never regresses against itself.
     assert not diff_manifests(reference, reference).has_regressions

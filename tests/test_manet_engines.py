@@ -121,6 +121,32 @@ def test_parity_expanding_ring():
     assert_engines_identical(config)
 
 
+@pytest.mark.parametrize("seed", [1, 4])
+def test_parity_short_rreq_memory(seed):
+    """A 3 s duplicate-RREQ memory: flood keys expire and are heard
+    afresh while the flood is still in flight, so the engine's duplicate
+    filter and the node's expiry both run against keys that come and
+    go."""
+    config = replace(bench_config(seed=seed), duration_s=300.0, rreq_seen_ttl_s=3.0)
+    assert_engines_identical(config)
+
+
+def test_parity_tiny_arena_expanding_ring():
+    """Fully connected and expanding-ring: every small-TTL flood reaches
+    every node, so nearly every reception after the first is a
+    duplicate."""
+    config = ManetConfig(
+        n_nodes=12,
+        arena_m=units.km(1),
+        radio_range_m=units.km(1.5),
+        n_pairs=6,
+        duration_s=240.0,
+        expanding_ring=True,
+        seed=3,
+    )
+    assert_engines_identical(config)
+
+
 @pytest.mark.slow
 def test_parity_paper_scale():
     """The paper's 200-node, 100 km arena, full hour."""

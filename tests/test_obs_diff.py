@@ -144,6 +144,23 @@ class TestManifestDiff:
         assert not diff.has_regressions
         assert diff.entries[0].note == "fidelity check improved"
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_scorecard_check_on_one_side_is_info(self, side):
+        a = make_manifest()
+        b = variant(a, lambda m: m.scorecard["checks"].append(
+            {"name": "figure8.new_band", "status": "skipped"}))
+        if side == "a":
+            a, b = b, a
+        diff = diff_manifests(a, b)
+        assert not diff.has_regressions
+        [entry] = diff.entries
+        assert (entry.section, entry.key, entry.severity) == (
+            "scorecard", "figure8.new_band", "info")
+        present = entry.a if side == "a" else entry.b
+        absent = entry.b if side == "a" else entry.a
+        assert (present, absent) == ("skipped", None)
+        assert entry.note == f"fidelity check only in run {side.upper()}"
+
     def test_wall_time_regression_needs_both_gates(self):
         a = make_manifest()
         # +400% but only +0.24s: under the absolute floor -> info.

@@ -18,6 +18,7 @@ timeout.  The invariants under test:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -175,6 +176,100 @@ class TestExecutorFailureContracts:
                 executor.map(_exit_on_die, ["die", "a", "b"])
             assert executor._pool is None  # dead pool dropped, not cached
             assert executor.map(_echo, ["x", "y"]) == ["x", "y"]
+
+    def test_pool_broken_between_submissions_retries_the_round(self):
+        """A shard that kills its worker can break the pool before the
+        round's later shards are submitted; those submissions raise
+        instead of returning a future, and must be retried like any
+        shard the break left unfinished rather than escape the run."""
+        from concurrent.futures import Future
+
+        from repro.runtime.resilience import run_shards_resilient
+        from repro.runtime.sharding import Shard
+
+        class BreaksOnSecondSubmit:
+            workers = 2
+
+            def __init__(self):
+                self.submits = 0
+                self.resets = 0
+
+            def submit(self, fn, payload):
+                self.submits += 1
+                if self.submits == 2:
+                    raise BrokenProcessPool("worker died mid-round")
+                future = Future()
+                future.set_result(fn(payload))
+                return future
+
+            def reset(self):
+                self.resets += 1
+
+        executor = BreaksOnSecondSubmit()
+        health = RunHealth()
+        shards = [Shard(i, (f"u{i}",), 1) for i in range(3)]
+        results, attempts = run_shards_resilient(
+            "extract", executor, shards, _echo, ["a", "b", "c"],
+            ResilienceConfig(**FAST), health=health,
+        )
+        assert results == ["a", "b", "c"]
+        assert attempts == [1, 2, 1]
+        assert executor.resets == health.pool_rebuilds == 1
+        assert health.retries == 1
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the race is between forks",
+    )
+    def test_pool_started_by_another_thread_keeps_crashes_visible(
+        self, monkeypatch
+    ):
+        """Two threads start pools at once, as the pipelined store walk's
+        lanes do after injected crashes.  The holder thread's worker must
+        not inherit the write end of the sentinel pipe of a worker this
+        thread is forking, or that worker's death goes unseen and its
+        future never completes.  The bad interleaving is forced: this
+        thread's first pipe waits until the holder has forked (or two
+        seconds pass, which is what serialised submissions make it do)."""
+        import multiprocessing.popen_fork as popen_fork
+        import threading
+
+        crasher_thread = threading.current_thread()
+        window_open = threading.Event()
+        holder_forked = threading.Event()
+
+        class RacyOs:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def pipe(self):
+                fds = os.pipe()
+                if (threading.current_thread() is crasher_thread
+                        and not window_open.is_set()):
+                    window_open.set()
+                    holder_forked.wait(timeout=2)
+                return fds
+
+        crasher = ParallelExecutor(workers=1)
+        holder = ParallelExecutor(workers=1)
+
+        def hold():
+            window_open.wait(timeout=20)
+            holder.submit(_echo, "x")
+            holder_forked.set()
+
+        monkeypatch.setattr(popen_fork, "os", RacyOs())
+        thread = threading.Thread(target=hold, daemon=True)
+        try:
+            thread.start()
+            crash = crasher.submit(_exit_on_die, "die")
+            with pytest.raises(BrokenProcessPool):
+                crash.result(timeout=20)
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        finally:
+            crasher.reset()
+            holder.reset()
 
 
 # ---------------------------------------------------------------------------
