@@ -1,10 +1,10 @@
 # Developer entry points.  PYTHONPATH is set so no editable install is
-# needed; `repro-study bench` wraps the same pytest invocations.
+# needed.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test coverage faults bench bench-quick bench-scaling bench-scale
+.PHONY: test coverage faults bench bench-quick
 
 test:            ## tier-1 suite (fast; what CI gates on)
 	$(PYTHON) -m pytest -x -q
@@ -25,9 +25,3 @@ bench:           ## full benchmark suite, including slow MANET runs
 
 bench-quick:     ## benchmarks without the slow MANET simulations
 	$(PYTHON) -m pytest benchmarks -q -m "not slow"
-
-bench-scaling:   ## just the runtime scaling record (BENCH_runtime_scaling.json)
-	$(PYTHON) -m pytest benchmarks/test_runtime_scaling.py -q -s
-
-bench-scale:     ## out-of-core RSS record, quick + 100k tiers (BENCH_scale.json)
-	$(PYTHON) -m pytest benchmarks/test_scale.py -q

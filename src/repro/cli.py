@@ -6,7 +6,6 @@ Subcommands::
     repro-study validate --data data/primary          # or --scale 0.15
     repro-study report --scale 0.15 [--only table1,figure1]
     repro-study manet --scale 0.15 [--full]
-    repro-study bench --quick
     repro-study inspect run.manifest.json
     repro-study monitor rundir            # or http://127.0.0.1:PORT
     repro-study audit run.manifest.json [--json] [--strict]
@@ -14,8 +13,7 @@ Subcommands::
 
 ``report`` regenerates every table and figure of the paper;
 ``manet --full`` runs the paper's 200-node, 100 km arena configuration
-(slow — minutes, not seconds); ``bench`` drives the benchmark suite
-(``--quick`` skips benches marked ``slow``).
+(slow — minutes, not seconds).
 
 Pipeline commands accept ``--workers N`` to shard validation over a
 process pool (``0`` = all CPUs); results are identical for any worker
@@ -68,7 +66,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, TextIO
+from typing import List, Optional
 
 from .core import (
     ClassifyConfig,
@@ -80,6 +78,7 @@ from .core import (
 from .obs import (
     NULL_OBS,
     ObsContext,
+    ProgressLine,
     RunManifest,
     TelemetrySampler,
     activate,
@@ -174,29 +173,6 @@ def _positive_int(value: str) -> int:
     return count
 
 
-def _add_inflight_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--inflight-segments",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="pipeline up to N segments concurrently (prefetch + parallel "
-             "compute + in-order reduce; memory grows by N × segment). "
-             "Default: 1 for serial runs, sized from --workers otherwise. "
-             "Output is byte-identical at any value",
-    )
-
-
-def _inflight_needs_disk(args: argparse.Namespace) -> Optional[int]:
-    """Exit code 2 when ``--inflight-segments`` comes without ``--store
-    disk`` (there are no segments to pipeline), else ``None``."""
-    if args.store == "disk" or args.inflight_segments is None:
-        return None
-    print("--inflight-segments pipelines store segments; it needs "
-          "--store disk", file=sys.stderr)
-    return 2
-
-
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
@@ -205,7 +181,6 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
         help="disk: stream the study through an on-disk segment store, "
              "one segment at a time — bounded memory, byte-identical output",
     )
-    _add_inflight_flag(parser)
     parser.add_argument(
         "--segment-users",
         type=_segment_users,
@@ -411,67 +386,6 @@ def _start_telemetry(args: argparse.Namespace, command: str, collectors):
     return sampler, None
 
 
-class _EventProgress:
-    """Rate-limited event progress line for serve replays.
-
-    The serve twin of the batch loop's segment progress line: stderr,
-    carriage-return updates, events/s and (when the stream length is
-    known) an ETA.  The clock is only consulted every ``CHECK_EVERY``
-    events so the per-event cost stays a counter increment.
-    """
-
-    #: Minimum seconds between renders.
-    INTERVAL_S = 0.5
-    #: Events between clock checks (kept a power of two for cheap modulo).
-    CHECK_EVERY = 1024
-
-    def __init__(self, stream: TextIO, total: Optional[int] = None) -> None:
-        self.stream = stream
-        self.total = total
-        self.done = 0
-        self._t0 = time.monotonic()
-        self._last_render = 0.0
-        self._wrote = False
-
-    def update(self) -> None:
-        """Record one ingested event; render when the interval elapsed."""
-        self.done += 1
-        if self.done % self.CHECK_EVERY:
-            return
-        now = time.monotonic()
-        if now - self._last_render >= self.INTERVAL_S:
-            self._last_render = now
-            self._render(now)
-
-    @staticmethod
-    def _eta(seconds: float) -> str:
-        minutes, secs = divmod(int(max(seconds, 0)), 60)
-        hours, minutes = divmod(minutes, 60)
-        if hours:
-            return f"{hours}:{minutes:02d}:{secs:02d}"
-        return f"{minutes}:{secs:02d}"
-
-    def _render(self, now: float) -> None:
-        elapsed = max(now - self._t0, 1e-9)
-        rate = self.done / elapsed
-        line = f"events {self.done:,}"
-        if self.total:
-            line += f"/{self.total:,}"
-        line += f"  {rate:,.0f} events/s"
-        if self.total and rate > 0 and self.total > self.done:
-            line += f"  ETA {self._eta((self.total - self.done) / rate)}"
-        self.stream.write("\r" + line.ljust(79))
-        self.stream.flush()
-        self._wrote = True
-
-    def close(self) -> None:
-        """Render a final frame and terminate the in-place line."""
-        if self._wrote:
-            self._render(time.monotonic())
-            self.stream.write("\n")
-            self.stream.flush()
-
-
 def _write_obs_artifacts(
     args: argparse.Namespace,
     ctx,
@@ -546,7 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"users per segment with --store disk (default {DEFAULT_SEGMENT_USERS})",
     )
     _add_workers_flag(gen)
-    _add_inflight_flag(gen)
 
     val = sub.add_parser("validate", help="run the checkin-validity pipeline")
     val.add_argument("--data", help="dataset directory written by 'generate'")
@@ -698,28 +611,17 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="absolute slowdown floor below which wall-time "
                           "movement is reported as info only (default 0.5 s)")
-
-    ben = sub.add_parser("bench", help="run the benchmark suite via pytest")
-    ben.add_argument(
-        "--quick",
-        action="store_true",
-        help='skip benches marked slow (pytest -m "not slow")',
-    )
-    ben.add_argument("--only", help="substring filter forwarded as pytest -k")
     return parser
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    err = _inflight_needs_disk(args)
-    if err is not None:
-        return err
     preset = primary_config if args.dataset == "primary" else baseline_config
     config = preset() if args.seed is None else preset(seed=args.seed)
     config = config.scaled(args.scale)
     if args.store == "disk":
         store = generate_study_store(
             config, args.out, segment_users=args.segment_users,
-            workers=args.workers, inflight_segments=args.inflight_segments,
+            workers=args.workers,
         )
         print(
             f"wrote {store.name} store: {store.n_users} users, "
@@ -808,7 +710,6 @@ def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
                     store, workers=args.workers,
                     resilience=resilience, fault_plan=fault_plan,
                     checkpoints=args.checkpoint_dir,
-                    inflight_segments=args.inflight_segments,
                     progress=progress,
                     telemetry=sampler,
                 )
@@ -844,9 +745,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return err
     if args.store == "disk":
         return _cmd_validate_disk(args, ctx, resilience, fault_plan)
-    err = _inflight_needs_disk(args)
-    if err is not None:
-        return err
     seeds = {}
     with activate(ctx):
         if args.data:
@@ -956,7 +854,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # The progress line is cosmetic and stderr-only: suppressed when
         # stderr is not a terminal (logs, CI) or under --quiet.
         prog = (
-            _EventProgress(sys.stderr, total=total_events)
+            ProgressLine(sys.stderr, "events", total=total_events,
+                         check_every=1024)
             if sys.stderr.isatty() and not args.quiet
             else None
         )
@@ -1218,22 +1117,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 1 if diff.has_regressions else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import subprocess
-    from pathlib import Path
-
-    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-    if not bench_dir.is_dir():
-        print(f"benchmark directory not found: {bench_dir}", file=sys.stderr)
-        return 2
-    command = [sys.executable, "-m", "pytest", str(bench_dir), "-q"]
-    if args.quick:
-        command += ["-m", "not slow"]
-    if args.only:
-        command += ["-k", args.only]
-    return subprocess.call(command)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -1245,7 +1128,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "manet": _cmd_manet,
         "export": _cmd_export,
         "recover": _cmd_recover,
-        "bench": _cmd_bench,
         "inspect": _cmd_inspect,
         "monitor": _cmd_monitor,
         "audit": _cmd_audit,

@@ -7,9 +7,9 @@ numbers (Figure 1's Venn regions, the class breakdown) into a single
 
 ``validate_store(store)`` is the out-of-core twin: it streams a
 :class:`repro.store.StudyStore` through the same three stages one
-segment (or one in-flight window of segments) at a time, so peak memory
-is bounded by the segments in flight while counters, gauges, summaries
-and fingerprints stay byte-identical to the in-memory path.
+segment at a time, so peak memory is bounded by one segment while
+counters, gauges, summaries and fingerprints stay byte-identical to the
+in-memory path.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from ..model import CheckinType, Dataset, UserData
-from ..obs import ObsContext, activate, config_hash, thread_activate
+from ..obs import ObsContext, ProgressLine, activate, config_hash, thread_activate
 from ..obs import current as obs_current
 from ..runtime import (
     DegradedResult,
@@ -28,13 +28,10 @@ from ..runtime import (
     RunHealth,
     RuntimeTimings,
     StreamMerger,
-    inflight_window,
     resolve_executor,
-    run_pipelined,
     shard_count,
     shard_segment,
 )
-from ..runtime.errors import RuntimeConfigError
 from ..runtime.faults import inject
 from ..store import CheckpointStore, SegmentEntry, StudyStore
 from .classify import ClassificationResult, ClassifyConfig, classify_dataset
@@ -332,75 +329,6 @@ def _segment_results(
     return matching, classification
 
 
-class _SegmentProgress:
-    """Rate-limited segment progress line for long out-of-core runs.
-
-    Rendered with a carriage return so the line updates in place;
-    :meth:`close` finishes it with a newline.  Purely cosmetic — it
-    writes to the given stream (normally stderr) and never touches the
-    run's results or metrics.
-    """
-
-    #: Minimum seconds between renders (the last segment always renders).
-    INTERVAL_S = 0.5
-
-    def __init__(self, stream: TextIO, n_segments: int, n_users: int) -> None:
-        self.stream = stream
-        self.n_segments = n_segments
-        self.n_users = n_users
-        self.done_segments = 0
-        self.done_users = 0
-        self.reused = 0
-        self._t0 = time.monotonic()
-        self._last_render = 0.0
-        self._wrote = False
-
-    def update(self, n_users: int, reused: bool) -> None:
-        """Record one finished segment; render when the interval elapsed."""
-        self.done_segments += 1
-        self.done_users += n_users
-        if reused:
-            self.reused += 1
-        now = time.monotonic()
-        if (
-            now - self._last_render >= self.INTERVAL_S
-            or self.done_segments == self.n_segments
-        ):
-            self._last_render = now
-            self._render(now)
-
-    @staticmethod
-    def _eta(seconds: float) -> str:
-        minutes, secs = divmod(int(seconds), 60)
-        hours, minutes = divmod(minutes, 60)
-        if hours:
-            return f"{hours}:{minutes:02d}:{secs:02d}"
-        return f"{minutes}:{secs:02d}"
-
-    def _render(self, now: float) -> None:
-        elapsed = max(now - self._t0, 1e-9)
-        rate = self.done_users / elapsed
-        remaining = max(self.n_users - self.done_users, 0)
-        eta_s = remaining / rate if rate > 0 else 0.0
-        line = (
-            f"segments {self.done_segments}/{self.n_segments}"
-            f"  users {self.done_users}/{self.n_users}"
-            f"  {rate:,.0f} users/s"
-            f"  ETA {self._eta(eta_s)}"
-            f"  reused {self.reused}"
-        )
-        self.stream.write("\r" + line.ljust(79))
-        self.stream.flush()
-        self._wrote = True
-
-    def close(self) -> None:
-        """Terminate the in-place line (no-op if nothing was rendered)."""
-        if self._wrote:
-            self.stream.write("\n")
-            self.stream.flush()
-
-
-
 def _load_segment_resilient(
     store: StudyStore,
     entry: SegmentEntry,
@@ -463,44 +391,33 @@ def validate_store(
     health: Optional[RunHealth] = None,
     checkpoints: Optional[Union[CheckpointStore, str, Path]] = None,
     keep_results: bool = False,
-    inflight_segments: Optional[int] = None,
     progress: Optional[TextIO] = None,
     telemetry=None,
 ) -> Union[ValidationSummary, ValidationReport]:
     """Run the validation pipeline over a study store, segment by segment.
 
-    Each segment is loaded (GPS traces as mmap-backed views), pushed
-    through extraction → matching → classification with the usual
-    executor/resilience machinery, reduced into running aggregates, and
-    dropped — peak memory is bounded by segments in flight, not study
-    size.
-
-    The walk is one ``load`` / ``compute`` / ``reduce`` triple driven by
-    :func:`repro.runtime.run_pipelined`.  ``load`` probes the segment's
-    checkpoint and maps it, ``compute`` runs the three stages under a
-    private obs context, and ``reduce`` folds results strictly in
-    manifest order.  ``inflight_segments`` is the window: at ``1`` (the
-    default for serial runs and whenever an explicit ``executor`` is
-    passed) the triple runs inline on the calling thread, one segment at
-    a time, with no threads; a wider window (sized from ``workers`` by
-    default for parallel runs) lets a prefetch thread load that many
-    segments ahead while up to two lane threads compute different
-    segments, each lane on its own executor.  Peak RSS is bounded by
-    ``baseline + inflight × largest segment``.
+    The walk takes one segment at a time on the calling thread: load it
+    (GPS traces as mmap-backed views), push it through extraction →
+    matching → classification with the usual executor/resilience
+    machinery, reduce its results into running aggregates, and drop it
+    before the next load — peak memory is bounded by one segment, not
+    study size.  ``workers`` (or an explicit ``executor``) parallelises
+    the stages *within* each segment over one process pool.
 
     Per-user computation is deterministic, segments partition the user
-    set in dataset order, and reduction happens in manifest order at any
-    ``inflight_segments``/worker count — so the summary text, semantic
-    counters and gauges, dataset fingerprint, and checkpoint files are
-    byte-identical to ``validate(store.load_dataset())`` and across
-    windows.
+    set in dataset order, and reduction follows manifest order at any
+    worker count — so the summary text, semantic counters and gauges,
+    and dataset fingerprint are byte-identical to
+    ``validate(store.load_dataset())`` at any worker count.  Checkpoint
+    files are byte-identical run to run; across worker counts they
+    decode to equal payloads.
 
     ``checkpoints`` (a :class:`repro.store.CheckpointStore` or a
     directory path) arms per-segment crash recovery: finished segments
     persist their results keyed by the pipeline config hash and the
     segment's content fingerprints, and a restarted run replays them
     (including their counter deltas, when observability was on) instead
-    of recomputing.  Checkpoint writes stay atomic under concurrency.
+    of recomputing.
 
     ``resilience`` additionally covers the segment *load* as its own
     work unit: failed loads retry with deterministic backoff, and under
@@ -515,9 +432,9 @@ def validate_store(
 
     ``telemetry`` (a :class:`repro.obs.TelemetrySampler`) publishes live
     progress — ``store.segments_done``, ``store.users_done`` (+ the
-    ``store.users_done_total`` counter the monitor rates), the planned
-    totals, and the scheduler's in-flight/overlap/stall figures — into
-    the sampler's own :class:`~repro.obs.LiveMetrics` bag.  The run's
+    ``store.users_done_total`` counter the monitor rates) and the
+    planned totals — into the sampler's own
+    :class:`~repro.obs.LiveMetrics` bag.  The run's
     :class:`~repro.obs.MetricsRegistry` is never touched, so manifests
     and parity suites stay byte-identical with telemetry on or off.
 
@@ -536,19 +453,6 @@ def validate_store(
     if checkpoints is not None and not isinstance(checkpoints, CheckpointStore):
         checkpoints = CheckpointStore(checkpoints)
     checkpoint_key = config_hash(visit_config, match_config, classify_config)
-    # An explicit executor cannot be shared across in-flight segments
-    # (the resilience layer rebuilds pools on crash, which would cancel
-    # sibling segments' shards), so it pins the window to 1.
-    if executor is not None and (inflight_segments or 1) > 1:
-        raise RuntimeConfigError(
-            "an explicit executor cannot be shared across in-flight "
-            "segments; pass workers= instead"
-        )
-    inflight = inflight_window(
-        inflight_segments,
-        workers if executor is None else None,
-        len(store.segments),
-    )
     # With a fault plan but no explicit resilience config, segment loads
     # run under the default policy — mirroring run_stage's convention.
     load_resilience = resilience
@@ -572,7 +476,7 @@ def validate_store(
     checkins: Dict = {}
     users: Dict[str, UserData] = {}
     prog = (
-        _SegmentProgress(progress, len(store.segments), store.n_users)
+        ProgressLine(progress, "users", total=store.n_users)
         if progress is not None
         else None
     )
@@ -582,114 +486,28 @@ def validate_store(
         live.set_gauge("store.users_planned", float(store.n_users))
         live.set_gauge("store.segments_done", 0.0)
         live.set_gauge("store.users_done", 0.0)
-        live.set_gauge("store.inflight_segments", float(inflight))
 
-    # Two lanes hide one segment's stage-boundary pool idling behind the
-    # other's compute; more lanes add process pressure, not throughput.
-    # Every lane runs at the full requested width, so the shard layout —
-    # and therefore every per-segment counter — is the same at any window.
-    lanes = max(1, min(2, inflight, len(store.segments)))
-    lane_execs = [
-        resolve_executor(executor if lane == 0 else None, workers)
-        for lane in range(lanes)
-    ]
     pois = store.load_pois()
+    exec_, owned = resolve_executor(executor, workers)
 
-    def seg_plan_for(entry: SegmentEntry):
-        return (
-            fault_plan.for_segment(entry.segment_id)
-            if fault_plan is not None
-            else None
-        )
+    def run_segment(entry: SegmentEntry, parent_span):
+        """Replay or compute one segment; ``(users, results)``.
 
-    def load(index: int, entry: SegmentEntry):
-        payload = (
+        ``results`` is checkpoint-shaped (``matching``, ``labels``,
+        ``checkins``, ``visits`` and, when checkpointing, ``counters``);
+        ``users`` is the segment's users under ``keep_results`` only.
+        """
+        results = (
             checkpoints.load(entry, checkpoint_key)
             if checkpoints is not None
             else None
         )
-        if payload is None:
-            seg_dataset, load_retries, degraded = _load_segment_resilient(
-                store, entry, pois, load_resilience, seg_plan_for(entry)
-            )
-            return None, seg_dataset, load_retries, degraded
-        seg_dataset = None
-        if keep_results:
-            seg_dataset = store.load_segment(entry, pois=pois)
-            for user_id, data in seg_dataset.users.items():
-                data.visits = payload["visits"][user_id]
-        return payload, seg_dataset, 0, None
-
-    def compute(index: int, entry: SegmentEntry, loaded, lane_id: int):
-        payload, seg_dataset, load_retries, degraded = loaded
-        outcome: Dict[str, Any] = {
-            "reused": payload is not None,
-            "results": payload,
-            "users": (
-                seg_dataset.users
-                if keep_results and seg_dataset is not None
-                else None
-            ),
-            "load_retries": load_retries,
-            "degraded": degraded,
-            "delta": None,
-            "base_s": 0.0,
-            "timings": RuntimeTimings(),
-            "health": RunHealth(),
-        }
-        if payload is not None:
-            return outcome
-        if degraded is not None:
-            outcome["results"] = {
-                "matching": {}, "labels": {}, "checkins": {}, "visits": {},
-            }
-            return outcome
-        exec_ = lane_execs[lane_id][0]
-        shards = shard_segment(
-            entry.user_ids,
-            entry.gps_counts,
-            entry.checkin_counts,
-            shard_count(exec_, entry.n_users),
-        )
-
-        def run_stages():
-            return _segment_results(
-                seg_dataset, visit_config, match_config, classify_config,
-                exec_, outcome["timings"], resilience, seg_plan_for(entry),
-                outcome["health"], shards,
-            )
-
-        if ctx.enabled:
-            # A private context per segment: the parent context is not
-            # thread-safe, and a fresh one gives the reducer a clean
-            # counter delta for the segment's checkpoint.
-            seg_ctx = ObsContext(profile=ctx.profile_enabled)
-            outcome["base_s"] = ctx.clock()
-            with thread_activate(seg_ctx), seg_ctx.span(
-                "store.segment",
-                segment=entry.segment_id,
-                users=entry.n_users,
-                reused=False,
-            ):
-                matching, classification = run_stages()
-            outcome["delta"] = seg_ctx.delta()
-        else:
-            matching, classification = run_stages()
-        # Key order matters: this dict is the checkpoint payload.
-        outcome["results"] = {
-            "matching": matching.per_user,
-            "labels": classification.labels,
-            "checkins": classification.checkins,
-            "visits": {
-                user_id: data.visits
-                for user_id, data in seg_dataset.users.items()
-            },
-        }
-        return outcome
-
-    def reduce(index: int, entry: SegmentEntry, outcome) -> None:
-        results = outcome["results"]
-        if outcome["reused"]:
+        if results is not None:
+            seg_dataset = None
+            if keep_results:
+                seg_dataset = store.load_segment(entry, pois=pois)
+                for user_id, data in seg_dataset.users.items():
+                    data.visits = results["visits"][user_id]
             with ctx.span(
                 "store.segment",
                 segment=entry.segment_id,
@@ -701,87 +519,118 @@ def validate_store(
                 for name, delta in results["counters"].items():
                     ctx.count(name, delta)
                 ctx.count("store.segments_total", 1)
-        else:
-            # Load-level recovery lands before the checkpoint snapshot,
-            # so recovery noise never pollutes checkpoint bytes.
-            if outcome["load_retries"]:
-                health.retries += outcome["load_retries"]
-                ctx.count("runtime.shard_retries", outcome["load_retries"])
-            degraded = outcome["degraded"]
-            if degraded is not None:
-                health.skipped.append(degraded)
-                ctx.count("runtime.shards_skipped", 1)
-            health.merge(outcome["health"])
-            summary.timings.stages.extend(outcome["timings"].stages)
-            if checkpoints is not None and degraded is None:
-                before = ctx.metrics.snapshot()["counters"] if ctx.enabled else {}
-                seg_counters = (
-                    outcome["delta"]["metrics"]["counters"]
-                    if outcome["delta"] is not None
-                    else {}
-                )
-                # A segment counter survives if it is new or changed the
-                # cumulative value (new-but-zero keys included), so
-                # replay recreates the exact key set.
-                results["counters"] = {
-                    name: value
-                    for name, value in seg_counters.items()
-                    if name not in before or value != 0
-                }
-                checkpoints.save(entry, checkpoint_key, results)
-            if outcome["delta"] is not None:
-                ctx.absorb(
-                    outcome["delta"],
-                    parent_id=pipeline_span.span_id,
-                    base_s=outcome["base_s"],
-                )
+            return (seg_dataset.users if keep_results else None), results
+
+        seg_plan = (
+            fault_plan.for_segment(entry.segment_id)
+            if fault_plan is not None
+            else None
+        )
+        seg_dataset, load_retries, degraded = _load_segment_resilient(
+            store, entry, pois, load_resilience, seg_plan
+        )
+        # Load-level recovery lands before the checkpoint snapshot,
+        # so recovery noise never pollutes checkpoint bytes.
+        if load_retries:
+            health.retries += load_retries
+            ctx.count("runtime.shard_retries", load_retries)
+        if degraded is not None:
+            health.skipped.append(degraded)
+            ctx.count("runtime.shards_skipped", 1)
             ctx.count("store.segments_total", 1)
+            return None, {"matching": {}, "labels": {}, "checkins": {}, "visits": {}}
+        shards = shard_segment(
+            entry.user_ids,
+            entry.gps_counts,
+            entry.checkin_counts,
+            shard_count(exec_, entry.n_users),
+        )
+
+        def run_stages():
+            return _segment_results(
+                seg_dataset, visit_config, match_config, classify_config,
+                exec_, summary.timings, resilience, seg_plan, health, shards,
+            )
+
+        delta = None
+        if ctx.enabled:
+            # A private context per segment gives its checkpoint a clean
+            # counter delta; the run context absorbs it afterwards.
+            seg_ctx = ObsContext(profile=ctx.profile_enabled)
+            base_s = ctx.clock()
+            with thread_activate(seg_ctx), seg_ctx.span(
+                "store.segment",
+                segment=entry.segment_id,
+                users=entry.n_users,
+                reused=False,
+            ):
+                matching, classification = run_stages()
+            delta = seg_ctx.delta()
+        else:
+            matching, classification = run_stages()
+        # Key order matters: this dict is the checkpoint payload.
+        results = {
+            "matching": matching.per_user,
+            "labels": classification.labels,
+            "checkins": classification.checkins,
+            "visits": {
+                user_id: data.visits
+                for user_id, data in seg_dataset.users.items()
+            },
+        }
+        if checkpoints is not None:
+            before = ctx.metrics.snapshot()["counters"] if ctx.enabled else {}
+            seg_counters = delta["metrics"]["counters"] if delta is not None else {}
+            # A segment counter survives if it is new or changed the
+            # cumulative value (new-but-zero keys included), so replay
+            # recreates the exact key set.
+            results["counters"] = {
+                name: value
+                for name, value in seg_counters.items()
+                if name not in before or value != 0
+            }
+            checkpoints.save(entry, checkpoint_key, results)
+        if delta is not None:
+            ctx.absorb(delta, parent_id=parent_span.span_id, base_s=base_s)
+        ctx.count("store.segments_total", 1)
+        return (seg_dataset.users if keep_results else None), results
+
+    def reduce(index: int, entry: SegmentEntry, seg_users, results) -> None:
         summary.add_segment(entry.user_ids, results)
         if keep_results:
             merger.absorb(results["matching"])
             labels.update(results["labels"])
             checkins.update(results["checkins"])
-            if outcome["users"] is not None:
-                users.update(outcome["users"])
+            if seg_users is not None:
+                users.update(seg_users)
         if prog is not None:
-            prog.update(entry.n_users, reused=outcome["reused"])
+            prog.update(
+                entry.n_users,
+                head=f"segments {index + 1}/{len(store.segments)}",
+                tail=f"reused {summary.segments_reused}",
+            )
         if live is not None:
             live.set_gauge("store.segments_done", float(index + 1))
             live.set_gauge("store.users_done", float(len(summary.visit_counts)))
             live.inc("store.users_done_total", entry.n_users)
-
-    def on_progress(snap: Dict[str, Any]) -> None:
-        # Reducer-thread callback from run_pipelined: publish the
-        # scheduler's live efficiency figures to the sampler bag.
-        live.set_gauge("store.inflight_segments", float(snap["inflight"]))
-        live.set_gauge("store.prefetch_overlap", float(snap["overlap"]))
-        live.set_gauge("store.prefetch_stalls", float(snap["stalls"]))
-        live.set_gauge("store.reduce_wait_s", snap["reduce_wait_s"])
 
     try:
         with activate(ctx), ctx.span(
             "pipeline.validate",
             dataset=store.name,
             users=store.n_users,
-            workers=lane_execs[0][0].workers,
+            workers=exec_.workers,
             segments=len(store.segments),
         ) as pipeline_span:
-            ctx.set_gauge("store.inflight_segments", float(inflight))
-            stats = run_pipelined(
-                store.segments, load, compute, reduce,
-                inflight=inflight, lanes=lanes,
-                on_progress=on_progress if live is not None else None,
-            )
-            if inflight > 1:
-                # Window 1 runs inline: there is no prefetch to count.
-                ctx.count("store.prefetch_overlap_total", stats["overlap"])
-                ctx.count("store.prefetch_stalls_total", stats["stalls"])
+            # One statement per segment: nothing from segment i is still
+            # referenced when segment i + 1 is loaded.
+            for index, entry in enumerate(store.segments):
+                reduce(index, entry, *run_segment(entry, pipeline_span))
             ctx.count("pipeline.runs_total", 1)
             set_headline_gauges(ctx, summary, health)
     finally:
-        for exec_, owned in lane_execs:
-            if owned:
-                exec_.close()
+        if owned:
+            exec_.close()
         if prog is not None:
             prog.close()
     if keep_results:

@@ -80,6 +80,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import profile_call, profile_summary, top_functions
 from .telemetry import (
     LiveMetrics,
+    ProgressLine,
     TelemetrySampler,
     format_dashboard,
     parse_openmetrics,
@@ -103,6 +104,7 @@ __all__ = [
     "MetricsRegistry",
     "NullObs",
     "ObsContext",
+    "ProgressLine",
     "ReferenceCheck",
     "RunManifest",
     "Scorecard",

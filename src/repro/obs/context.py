@@ -314,10 +314,10 @@ NULL_OBS = NullObs()
 
 _current: Any = NULL_OBS
 
-#: Thread-local override used by in-process scheduler lanes.  A lane
-#: thread that activates its own context via :class:`thread_activate`
-#: sees that context from :func:`current`; every other thread keeps
-#: seeing the process-global one set by :class:`activate`.
+#: Thread-local override.  A thread that activates its own context via
+#: :class:`thread_activate` sees that context from :func:`current`;
+#: every other thread keeps seeing the process-global one set by
+#: :class:`activate`.
 _tls = threading.local()
 
 
@@ -356,11 +356,11 @@ class activate:
 class thread_activate:
     """Make ``ctx`` the ambient context *for this thread only* (re-entrant).
 
-    Scheduler lane threads (see :mod:`repro.runtime.schedule`) each run a
-    segment under a private :class:`ObsContext`; the thread-local override
-    keeps their spans and counters from interleaving with the parent
-    context, which is not thread-safe.  Other threads — including the main
-    thread that owns the parent context — are unaffected.
+    The store walk runs each segment, and the executor each in-process
+    shard, under a private :class:`ObsContext`; the thread-local override
+    shadows whatever context is ambient, so the unit's spans and counters
+    land in its own context and never in its parent's.  Other threads
+    are unaffected.
     """
 
     __slots__ = ("ctx", "_previous")

@@ -284,37 +284,9 @@ class RunManifest:
                     f"  ({stage['executor']}, {len(stage.get('shards', []))} shard(s))"
                 )
         counters = self.metrics.get("counters", {})
-        gauges = self.metrics.get("gauges", {})
-        # The pipelined scheduler's figures get their own section: a
-        # reader asking "did the prefetch overlap pay off?" should not
-        # have to fish three names out of the raw counter dump.
-        runtime_counters = ("store.prefetch_overlap_total",
-                            "store.prefetch_stalls_total")
-        inflight = gauges.get("store.inflight_segments")
-        overlap = counters.get("store.prefetch_overlap_total")
-        stalls = counters.get("store.prefetch_stalls_total")
-        if inflight is not None or overlap is not None or stalls is not None:
-            lines.append("  runtime:")
-            if inflight is not None:
-                lines.append(
-                    f"    inflight segments                {inflight:.0f}"
-                )
-            if overlap is not None or stalls is not None:
-                overlap = overlap or 0
-                stalls = stalls or 0
-                total = overlap + stalls
-                share = f" ({overlap / total:.0%} overlapped)" if total else ""
-                lines.append(
-                    f"    prefetch overlap / stalls        "
-                    f"{overlap} / {stalls}{share}"
-                )
-        other_counters = {
-            name: value for name, value in counters.items()
-            if name not in runtime_counters
-        }
-        if other_counters:
+        if counters:
             lines.append("  counters:")
-            for name, value in sorted(other_counters.items()):
+            for name, value in sorted(counters.items()):
                 lines.append(f"    {name:<32} {value}")
         histograms = self.metrics.get("histograms", {})
         if histograms:

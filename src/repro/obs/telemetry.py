@@ -44,6 +44,7 @@ from .metrics import PERCENTILES
 
 __all__ = [
     "LiveMetrics",
+    "ProgressLine",
     "TelemetrySampler",
     "format_dashboard",
     "parse_openmetrics",
@@ -110,8 +111,8 @@ def _merge_metrics(into: Dict[str, Any], part: Dict[str, Any]) -> None:
 class LiveMetrics:
     """Tiny thread-safe counter/gauge bag for live-only instruments.
 
-    Live progress figures (segments done, users done, prefetch stalls so
-    far) must not leak into the run's :class:`~repro.obs.MetricsRegistry`
+    Live progress figures (segments done, users done so far) must not
+    leak into the run's :class:`~repro.obs.MetricsRegistry`
     — manifests and parity suites compare those byte-for-byte, and a
     batch run with telemetry on must stay byte-identical to one without.
     So live publishers write here instead; the owning sampler includes
@@ -562,6 +563,78 @@ def _eta_str(seconds: float) -> str:
     return f"{minutes}:{secs:02d}"
 
 
+class ProgressLine:
+    """Rate-limited progress line, redrawn in place on a text stream.
+
+    Counts ``done`` items of ``unit`` against an optional ``total`` and
+    renders ``[head]  {unit} done/total  rate {unit}/s  ETA  [tail]``
+    behind a carriage return; :meth:`close` draws a final frame and ends
+    the line.  The clock is read only every ``check_every`` items, so a
+    per-event caller pays a counter increment, and frames are at least
+    ``INTERVAL_S`` apart.  Purely cosmetic: it writes to ``stream``
+    (normally stderr) and never touches a run's results or metrics.
+    """
+
+    #: Minimum seconds between frames.
+    INTERVAL_S = 0.5
+
+    def __init__(
+        self,
+        stream: Any,
+        unit: str,
+        total: Optional[int] = None,
+        check_every: int = 1,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.stream = stream
+        self.unit = unit
+        self.total = total
+        self.check_every = check_every
+        self.clock = clock
+        self.done = 0
+        self.head = ""
+        self.tail = ""
+        self._t0 = clock()
+        self._last_render = float("-inf")
+        self._wrote = False
+
+    def update(self, n: int = 1, head: str = "", tail: str = "") -> None:
+        """Count ``n`` more items; draw a frame when the interval elapsed.
+
+        ``head``/``tail`` are extra fields shown before and after the
+        count (say ``segments 3/20`` and ``reused 1``).
+        """
+        self.done += n
+        if self.done % self.check_every:
+            return
+        self.head, self.tail = head, tail
+        now = self.clock()
+        if now - self._last_render >= self.INTERVAL_S:
+            self._last_render = now
+            self._render(now)
+
+    def _render(self, now: float) -> None:
+        rate = self.done / max(now - self._t0, 1e-9)
+        count = f"{self.unit} {self.done:,}"
+        if self.total:
+            count += f"/{self.total:,}"
+        fields = [self.head, count, f"{rate:,.0f} {self.unit}/s"]
+        if self.total and rate > 0 and self.total > self.done:
+            fields.append(f"ETA {_eta_str((self.total - self.done) / rate)}")
+        fields.append(self.tail)
+        line = "  ".join(field for field in fields if field)
+        self.stream.write("\r" + line.ljust(79))
+        self.stream.flush()
+        self._wrote = True
+
+    def close(self) -> None:
+        """Draw a final frame and end the line (no-op if none was drawn)."""
+        if self._wrote:
+            self._render(self.clock())
+            self.stream.write("\n")
+            self.stream.flush()
+
+
 def format_dashboard(
     sample: Dict[str, Any], previous: Optional[Dict[str, Any]] = None
 ) -> str:
@@ -570,7 +643,7 @@ def format_dashboard(
     Sections appear only when their metric families are present, so the
     same renderer serves a ``serve`` replay (events, watermark,
     verdicts) and a batch ``validate --store disk`` run (segments,
-    prefetch).  ``previous`` feeds the counter-rate column.
+    users).  ``previous`` feeds the counter-rate column.
     """
     metrics = sample.get("metrics", {})
     counters = metrics.get("counters", {})
@@ -618,11 +691,5 @@ def format_dashboard(
             f"  store      segments {segments_done:.0f}/{total:.0f}"
             f"   users {_human_count(users_done)}/{_human_count(users_total)}"
             f"  ({_human_count(user_rate)}/s){eta}"
-        )
-        lines.append(
-            f"  pipeline   inflight {gauges.get('store.inflight_segments', 0):.0f}"
-            f"   overlap {gauges.get('store.prefetch_overlap', 0):.0f}"
-            f"   stalls {gauges.get('store.prefetch_stalls', 0):.0f}"
-            f"   reduce wait {gauges.get('store.reduce_wait_s', 0.0):.2f} s"
         )
     return "\n".join(lines)

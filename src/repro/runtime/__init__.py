@@ -19,11 +19,7 @@ and merges results back deterministically:
   (:class:`FaultPlan`) keyed by ``(stage, shard_id, attempt)``, used by
   the test suite and ``repro-study validate --inject-faults``;
 * :mod:`repro.runtime.timing` — per-shard/stage timings surfaced as
-  ``ValidationReport.timings`` and persisted by the scaling bench;
-* :mod:`repro.runtime.schedule` — the pipelined segment scheduler
-  (:func:`run_pipelined`): bounded prefetch + lane threads + in-order
-  reducer, used by the out-of-core ``validate_store`` and parallel
-  ``generate --store disk``;
+  ``ValidationReport.timings`` and in run manifests;
 * :mod:`repro.runtime.errors` — shard-scoped failure reporting.
 
 Quickstart::
@@ -66,7 +62,6 @@ from .resilience import (
     RunHealth,
     run_shards_resilient,
 )
-from .schedule import inflight_window, run_pipelined
 from .sharding import (
     GPS_SAMPLES_PER_VISIT,
     Shard,
@@ -102,11 +97,9 @@ __all__ = [
     "StreamMerger",
     "WorkUnitError",
     "available_workers",
-    "inflight_window",
     "merge_user_maps",
     "pre_extraction_weight",
     "resolve_executor",
-    "run_pipelined",
     "run_shards_resilient",
     "run_stage",
     "shard_count",

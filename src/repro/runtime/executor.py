@@ -43,8 +43,8 @@ OVERSUBSCRIBE = 2
 #: another thread forks in that window inherits the write end and keeps
 #: it open, so when the first worker dies its pool never sees the
 #: sentinel fire, never marks itself broken, and the dead worker's
-#: future never completes.  The pipelined store walk's lanes each start
-#: and rebuild their own pool, concurrently.
+#: future never completes.  Any two threads that each drive their own
+#: executor can start or rebuild pools concurrently.
 _SUBMIT_LOCK = threading.Lock()
 
 
@@ -241,9 +241,9 @@ class _Instrumented:
             result = self.fn(payload)
             return time.perf_counter() - t0, None, result
         ctx = ObsContext(profile=self.profile)
-        # Also override the thread-local slot: a forked worker inherits
-        # the submitting lane thread's override (see repro.obs), which
-        # would otherwise swallow the shard's counters.
+        # Also override the thread-local slot: an in-process shard (and
+        # a forked worker) inherits the submitting thread's override
+        # (see repro.obs), which would otherwise swallow its counters.
         with activate(ctx), thread_activate(ctx), ctx.span("shard.run"):
             if self.profile:
                 from ..obs.profile import profile_call

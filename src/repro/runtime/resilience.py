@@ -347,17 +347,17 @@ def _run_pool(
     obs = obs_current()
     pending = list(range(len(shards)))
     while pending:
-        inflight = []
+        submitted = []
         for index in pending:
             attempts[index] += 1
             fn = with_faults(
                 task, plan, stage, shards[index].shard_id, attempts[index],
                 allow_exit=True,
             )
-            inflight.append((index, _submit(executor, fn, payloads[index])))
+            submitted.append((index, _submit(executor, fn, payloads[index])))
         failed: Dict[int, BaseException] = {}
         pool_broken = False
-        for index, future in inflight:
+        for index, future in submitted:
             shard = shards[index]
             try:
                 results[index] = future.result(timeout=config.shard_timeout_s)

@@ -4,8 +4,8 @@ Every sharded stage records one :class:`ShardTiming` per work unit
 (measured inside the worker, so queueing and pickling are excluded) and
 wraps them in a :class:`StageTiming` whose wall time *does* include
 scheduling overhead.  A :class:`RuntimeTimings` bundles the stages of
-one pipeline run; ``as_dict()`` is the shape the scaling bench persists
-into ``BENCH_*.json`` artifacts.
+one pipeline run; ``as_dict()`` is the shape run manifests record
+under ``timings``.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class RuntimeTimings:
         raise KeyError(f"no timing recorded for stage {name!r}")
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe record — the payload of ``BENCH_*.json`` files."""
+        """JSON-safe record — a run manifest's ``timings`` field."""
         return {"wall_s": self.wall_s, "stages": [s.as_dict() for s in self.stages]}
 
     def format_report(self) -> str:

@@ -39,8 +39,8 @@ def atomic_pickle_dump(path: Path, record: Any) -> Path:
     tmp file + flush + fsync + ``os.replace``: a crash mid-write leaves
     the destination untouched (or holding its previous complete
     contents), never a torn file.  The tmp name embeds the pid, thread
-    id, and a process-wide counter so concurrent writers (scheduler
-    lanes, overlapping runs) never tread on each other's staging file —
+    id, and a process-wide counter so concurrent writers (threads,
+    overlapping runs) never tread on each other's staging file —
     while still matching the ``*.tmp`` glob that crash drills use to
     assert no staging debris survives.  Shared by the per-segment
     checkpoint store and the serving state snapshots

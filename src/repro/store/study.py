@@ -379,18 +379,17 @@ class StudyStore:
     def max_segment_nbytes(self) -> int:
         """The largest segment's GPS column payload, bytes.
 
-        The pipelined scheduler's memory bound is
-        ``baseline + inflight × max_segment_nbytes()`` — at most
-        ``inflight`` segments are mapped (loaded or awaiting reduce) at
-        any instant.
+        The store walk's memory bound is ``baseline + k ×
+        max_segment_nbytes()`` for a small constant ``k``: one segment
+        is mapped at a time, plus its per-segment working state.
         """
         return max((entry.nbytes for entry in self.segments), default=0)
 
     def load_pois(self) -> Dict[str, Poi]:
         """The shared POI universe (cached after the first call).
 
-        Thread-safe: the prefetch thread and the caller may race here;
-        the lock makes one of them load and the rest reuse the cache.
+        Thread-safe: when callers on several threads race here, the lock
+        makes one of them load and the rest reuse the cache.
         """
         with self._pois_lock:
             if self._pois is None:
@@ -417,11 +416,11 @@ class StudyStore:
         The returned dataset shares the store's POI dict; its users are
         exactly the segment's, in segment order, with ``visits`` unset.
 
-        Safe to call from a prefetch thread: each call builds its own
-        :class:`SegmentReader`, and the mmap pages are released as soon
-        as the last trace view is dropped — consumers should release the
-        dataset eagerly once results are extracted, so in-flight memory
-        stays bounded by the scheduler's window, not the run length.
+        Each call builds its own :class:`SegmentReader`, and the mmap
+        pages are released as soon as the last trace view is dropped —
+        consumers should release the dataset eagerly once results are
+        extracted, so memory stays bounded by one segment, not the run
+        length.
         """
         if isinstance(entry, int):
             entry = self.segments[entry]

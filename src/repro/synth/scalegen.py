@@ -2,8 +2,8 @@
 
 The full persona/itinerary generator (:mod:`repro.synth.study`) spends
 tens of milliseconds per user building realistic behaviour — perfect for
-fidelity, hopeless for generating the 100k–1M user stores the scale
-bench needs.  This generator trades realism for throughput: each user's
+fidelity, hopeless for generating the 100k–1M user stores that
+out-of-core runs are measured on.  This generator trades realism for throughput: each user's
 trace is a handful of anchored dwell blocks (stationary Gaussian
 clusters at real POIs, per-minute sampling) built with whole-array numpy
 ops, plus a small honest/remote checkin mix.  The dwell blocks are long
@@ -11,9 +11,9 @@ and tight enough that stay-point extraction finds visits and matching
 finds both honest and extraneous checkins, so a scale run exercises the
 same code paths as a real study — just not the paper's distributions.
 
-Never used for fidelity results; only ``benchmarks/``,
-``tools/scale_bench.py`` and tests that need a many-segment store
-cheaply should import it.
+Never used for fidelity results; only ``perfbench/`` and tests that
+need a many-segment store cheaply (``tests/test_store_scale.py``)
+should import it.
 """
 
 from __future__ import annotations

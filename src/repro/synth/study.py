@@ -17,20 +17,16 @@ split preserves the RNG call order exactly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..model import Dataset, Poi, UserData
 from ..obs import current as obs_current
-from ..runtime import (
-    ParallelExecutor,
-    available_workers,
-    inflight_window,
-    run_pipelined,
-)
+from ..runtime import ParallelExecutor, available_workers
 from ..runtime.executor import _Instrumented
 from ..store import DEFAULT_SEGMENT_USERS, StudyStore, StudyStoreWriter
 from .checkins import generate_checkins
@@ -175,51 +171,33 @@ def _generate_store_parallel(
     writer: StudyStoreWriter,
     segment_users: int,
     workers: int,
-    inflight_segments: Optional[int],
     obs: "object",
     span: "object",
 ) -> None:
     """Fan segment-sized chunks over a process pool, write in plan order.
 
     Chunk size equals ``segment_users`` so segment boundaries — and the
-    store fingerprint — match serial generation exactly.  The reducer
-    runs on the calling thread in chunk order, so user records land in
-    the writer and obs deltas are absorbed exactly as the serial stream
-    would produce them.
+    store fingerprint — match serial generation exactly.  The calling
+    thread keeps up to ``min(workers, 4) + 1`` chunk futures queued
+    ahead of the writer and takes their results strictly in chunk
+    order, so user records land in the writer and obs deltas are
+    absorbed exactly as the serial stream would produce them, while
+    memory stays a few chunks deep.
     """
-    step = segment_users
-    chunks = [
-        (
-            plan.user_ids[start : start + step],
-            plan.user_seeds[start : start + step],
-        )
-        for start in range(0, len(plan.user_ids), step)
-    ]
     effective = workers if workers > 0 else available_workers()
-    inflight = inflight_window(inflight_segments, workers, len(chunks))
+    depth = min(effective, 4) + 1
     executor = ParallelExecutor(workers=workers if workers > 0 else None)
-    # Warm the pool from this thread: lane threads may otherwise race
-    # the lazy first-submit pool construction.
-    executor._ensure_pool()
     observe = bool(getattr(obs, "enabled", False))
     task = _Instrumented(
         _generate_chunk,
         observe=observe,
         profile=bool(getattr(obs, "profile_enabled", False)),
     )
+    pending: Deque[Tuple[int, float, Any]] = deque()
 
-    def load(index: int, chunk: Tuple) -> Tuple:
-        user_ids, user_seeds = chunk
-        homes = {user_id: plan.homes[user_id] for user_id in user_ids}
-        return (plan.config, plan.world, homes, user_ids, user_seeds)
-
-    def compute(index: int, chunk: Tuple, payload: Tuple, lane_id: int) -> Tuple:
-        base_s = obs.clock() if observe else 0.0
-        wall_s, delta, users = executor.submit(task, payload).result()
-        return base_s, delta, users
-
-    def reduce(index: int, chunk: Tuple, outcome: Tuple) -> None:
-        base_s, delta, users = outcome
+    def write_oldest() -> None:
+        index, base_s, future = pending.popleft()
+        _, delta, users = future.result()
         if delta is not None:
             obs.absorb(
                 delta,
@@ -231,8 +209,22 @@ def _generate_store_parallel(
             writer.add_user(data)
 
     try:
-        lanes = max(1, min(effective, inflight, len(chunks) or 1))
-        run_pipelined(chunks, load, compute, reduce, inflight=inflight, lanes=lanes)
+        starts = range(0, len(plan.user_ids), segment_users)
+        for index, start in enumerate(starts):
+            if len(pending) >= depth:
+                write_oldest()
+            user_ids = plan.user_ids[start : start + segment_users]
+            payload = (
+                plan.config,
+                plan.world,
+                {user_id: plan.homes[user_id] for user_id in user_ids},
+                user_ids,
+                plan.user_seeds[start : start + segment_users],
+            )
+            base_s = obs.clock() if observe else 0.0
+            pending.append((index, base_s, executor.submit(task, payload)))
+        while pending:
+            write_oldest()
     finally:
         executor.close()
 
@@ -242,7 +234,6 @@ def generate_study_store(
     directory: Union[str, Path],
     segment_users: int = DEFAULT_SEGMENT_USERS,
     workers: Optional[int] = None,
-    inflight_segments: Optional[int] = None,
 ) -> StudyStore:
     """Generate a study straight into an on-disk segment store.
 
@@ -252,11 +243,10 @@ def generate_study_store(
     stored study is record-identical to ``generate_dataset(config)``.
 
     ``workers`` > 1 (or 0 for all CPUs) generates segment-sized chunks
-    of users on a process pool, pipelined up to ``inflight_segments``
-    ahead of the in-order writer; because every user's randomness comes
-    from their own spawned seed and chunks align with segment
-    boundaries, the resulting store fingerprint is identical to serial
-    generation.
+    of users on a process pool, a few chunks ahead of the in-order
+    writer; because every user's randomness comes from their own
+    spawned seed and chunks align with segment boundaries, the resulting
+    store fingerprint is identical to serial generation.
     """
     obs = obs_current()
     with obs.span(
@@ -273,7 +263,7 @@ def generate_study_store(
             writer.add_users(iter_study_users(plan))
         else:
             _generate_store_parallel(
-                plan, writer, segment_users, workers, inflight_segments, obs, span
+                plan, writer, segment_users, workers, obs, span
             )
         return writer.finalize()
 

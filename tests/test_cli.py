@@ -362,18 +362,17 @@ def test_no_implementation_selector_flags(argv, capsys):
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
-class TestPipelinedCliFlags:
-    """--inflight-segments / --quiet / parallel disk generate."""
+class TestParallelDiskCli:
+    """--workers on disk validate and disk generate; --quiet."""
 
-    def test_validate_disk_pipelined_matches_serial_output(self, capsys):
+    def test_validate_disk_parallel_matches_serial_output(self, capsys):
         base = ["validate", "--data", str(GOLDEN_DIR), "--store", "disk",
                 "--segment-users", "1"]
-        assert main(base + ["--inflight-segments", "1"]) == 0
+        assert main(base) == 0
         serial = capsys.readouterr().out
-        assert main(base + ["--workers", "2", "--inflight-segments", "3",
-                            "--quiet"]) == 0
-        pipelined = capsys.readouterr().out
-        assert serial == pipelined
+        assert main(base + ["--workers", "2", "--quiet"]) == 0
+        parallel = capsys.readouterr().out
+        assert serial == parallel
         assert "extraneous breakdown" in serial
 
     def test_generate_disk_parallel_fingerprint_matches_serial(
@@ -385,8 +384,7 @@ class TestPipelinedCliFlags:
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         assert main(args + ["--out", str(serial_dir)]) == 0
-        assert main(args + ["--out", str(parallel_dir), "--workers", "2",
-                            "--inflight-segments", "2"]) == 0
+        assert main(args + ["--out", str(parallel_dir), "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert out.count("wrote Primary store:") == 2
         serial = StudyStore.open(serial_dir)
@@ -394,12 +392,19 @@ class TestPipelinedCliFlags:
         assert parallel.fingerprint() == serial.fingerprint()
         assert parallel.n_users == serial.n_users > 0
 
-    def test_generate_jsonl_rejects_inflight(self, tmp_path, capsys):
-        code = main(["generate", "--dataset", "primary", "--scale", "0.02",
-                     "--out", str(tmp_path / "ds"),
-                     "--inflight-segments", "2"])
-        assert code == 2
-        assert "--store disk" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--store", "disk", "--inflight-segments", "2"],
+        ["generate", "--out", "x", "--inflight-segments", "2"],
+        ["bench", "--quick"],
+    ], ids=["validate-inflight", "generate-inflight", "bench"])
+    def test_removed_surface_exits_2(self, argv, capsys):
+        """The store walk takes one segment at a time, and benchmarks
+        run from ``perfbench/``: neither the window flag nor the bench
+        wrapper exists."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
 
 
 class TestMalformedDataset:

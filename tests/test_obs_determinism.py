@@ -74,6 +74,40 @@ class TestObsIsANoOp:
         assert fingerprint(report) == baseline
 
 
+@pytest.mark.parametrize(
+    "mode", ["no-obs", "obs", "obs-telemetry", "obs-profile"]
+)
+def test_observation_never_steers(mode, tmp_path):
+    """The golden summary is the same with no obs, plain obs, obs under a
+    running telemetry sampler (the ``--telemetry`` wiring), and
+    ``--profile``; it also matches the committed expected summary."""
+    from repro.obs import TelemetrySampler, read_status, registry_collector
+
+    expected = json.loads(
+        (GOLDEN_DIR / "expected.json").read_text(encoding="utf-8")
+    )["summary"]
+    dataset = golden()
+    if mode == "no-obs":
+        report = validate(dataset)
+    elif mode == "obs":
+        report = validate(dataset, obs=ObsContext())
+    elif mode == "obs-telemetry":
+        ctx = ObsContext()
+        with TelemetrySampler(
+            collectors=[registry_collector(ctx.metrics)],
+            interval_s=0.01,
+            status_path=tmp_path,
+            command="validate",
+        ):
+            report = validate(dataset, obs=ctx)
+        status = read_status(tmp_path)
+        assert status["finished"]
+        assert status["metrics"]["counters"]["pipeline.runs_total"] == 1
+    else:
+        report = validate(dataset, obs=ObsContext(profile=True))
+    assert report.summary() == expected
+
+
 class TestMetricDeterminism:
     def run_with_obs(self, workers):
         ctx = ObsContext()

@@ -112,33 +112,6 @@ class TestRoundTrip:
         assert "matching.honest_total" in text
         assert "primary=20131121" in text
 
-    def test_format_report_runtime_section(self):
-        manifest = build_manifest(
-            "validate",
-            dataset=make_dataset([make_user("u0")]),
-            configs=(VisitConfig(),),
-            seeds={},
-            workers=2,
-            timings={"wall_s": 1.0, "stages": []},
-            metrics={
-                "counters": {
-                    "store.prefetch_overlap_total": 6,
-                    "store.prefetch_stalls_total": 2,
-                    "matching.honest_total": 3,
-                },
-                "gauges": {"store.inflight_segments": 3.0},
-                "histograms": {},
-            },
-        )
-        text = manifest.format_report()
-        assert "runtime:" in text
-        assert "inflight segments" in text
-        assert "prefetch overlap / stalls        6 / 2 (75% overlapped)" in text
-        # Scheduler figures live in the runtime section only — not
-        # repeated in the raw counter dump.
-        assert text.count("store.prefetch_overlap_total") == 0
-        assert "matching.honest_total" in text
-
     def test_format_report_no_runtime_section_without_figures(self):
         text = self.manifest().format_report()
         assert "runtime:" not in text

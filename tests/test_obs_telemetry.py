@@ -49,8 +49,8 @@ class TestOpenMetricsFormat:
         assert metric_family("serve.events_ingested_total") == (
             "repro_serve_events_ingested_total"
         )
-        assert metric_family("store.inflight_segments") == (
-            "repro_store_inflight_segments"
+        assert metric_family("store.segments_done") == (
+            "repro_store_segments_done"
         )
 
     def test_split_series_labels(self):
@@ -136,10 +136,10 @@ def test_process_stats_shape():
 def test_registry_collector_snapshots_counters_and_gauges():
     registry = MetricsRegistry()
     registry.counter("pipeline.runs_total").inc()
-    registry.gauge("store.inflight_segments").set(2.0)
+    registry.gauge("store.segments_done").set(2.0)
     snap = registry_collector(registry)()
     assert snap["counters"]["pipeline.runs_total"] == 1
-    assert snap["gauges"]["store.inflight_segments"] == 2.0
+    assert snap["gauges"]["store.segments_done"] == 2.0
 
 
 def test_sample_rates_counter_deltas():
@@ -377,12 +377,12 @@ class TestParity:
             primary_config().scaled(0.05), tmp_path / "store",
             segment_users=4,
         )
-        plain = validate_store(store, workers=2, inflight_segments=2)
+        plain = validate_store(store, workers=2)
         sampler = TelemetrySampler(
             interval_s=0.01, status_path=tmp_path / "tel", command="validate",
         ).start()
         telemetered = validate_store(
-            store, workers=2, inflight_segments=2, telemetry=sampler,
+            store, workers=2, telemetry=sampler,
         )
         sampler.close()
         assert telemetered.summary() == plain.summary()
@@ -393,9 +393,8 @@ class TestParity:
         assert gauges["store.users_done"] == store.n_users
         assert status["metrics"]["counters"][
             "store.users_done_total"] == store.n_users
-        assert "store.prefetch_overlap" in gauges
         dashboard = format_dashboard(status)
-        assert "segments" in dashboard and "pipeline" in dashboard
+        assert "segments" in dashboard and "users" in dashboard
 
 
 # -- the monitor CLI --------------------------------------------------------
@@ -441,3 +440,84 @@ class TestMonitorCli:
 
         assert main(["monitor", str(tmp_path), "--interval", "0"]) == 2
         assert "--interval" in capsys.readouterr().err
+
+
+class TestProgressLine:
+    """The one in-place progress line behind ``validate --store disk``
+    and ``serve``, pinned frame by frame under a fake clock that advances
+    one second per reading."""
+
+    GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden_study"
+
+    @staticmethod
+    def fake_clock_line(monkeypatch, module):
+        import functools
+        import itertools
+
+        from repro.obs import ProgressLine
+
+        ticks = itertools.count(100.0, 1.0)
+        monkeypatch.setattr(
+            module, "ProgressLine",
+            functools.partial(ProgressLine, clock=lambda: next(ticks)),
+        )
+
+    @staticmethod
+    def frame(text):
+        return "\r" + text.ljust(79)
+
+    def test_segment_line(self, tmp_path, monkeypatch):
+        import io
+
+        import repro.core.pipeline as pipeline
+        from repro.core import validate_store
+        from repro.io import load_dataset_into_store
+
+        store = load_dataset_into_store(
+            self.GOLDEN_DIR, tmp_path / "store", segment_users=1
+        )
+        self.fake_clock_line(monkeypatch, pipeline)
+        stream = io.StringIO()
+        validate_store(store, progress=stream)
+        final = self.frame("segments 3/3  users 3/3  1 users/s  reused 0")
+        assert stream.getvalue() == (
+            self.frame("segments 1/3  users 1/3  1 users/s  ETA 0:02  reused 0")
+            + self.frame("segments 2/3  users 2/3  1 users/s  ETA 0:01  reused 0")
+            + final + final + "\n"
+        )
+
+    def test_event_line_checks_the_clock_every_1024_events(self, monkeypatch):
+        import io
+
+        import repro.cli as cli
+
+        class Tty(io.StringIO):
+            def isatty(self):
+                return True
+
+        self.fake_clock_line(monkeypatch, cli)
+        stderr = Tty()
+        monkeypatch.setattr("sys.stderr", stderr)
+        assert cli.main(["serve", "--data", str(self.GOLDEN_DIR)]) == 0
+        frames = [
+            self.frame(f"events {n:,}/5,875  1,024 events/s  ETA 0:0{eta}")
+            for n, eta in ((1024, 4), (2048, 3), (3072, 2), (4096, 1), (5120, 0))
+        ]
+        final = self.frame("events 5,875/5,875  979 events/s")
+        assert stderr.getvalue() == "".join(frames) + final + "\n"
+
+    @pytest.mark.parametrize("tty,quiet", [(True, True), (False, False)])
+    def test_quiet_or_non_tty_draws_nothing(self, monkeypatch, tty, quiet):
+        import io
+
+        import repro.cli as cli
+
+        stderr = io.StringIO()
+        stderr.isatty = lambda: tty
+        monkeypatch.setattr("sys.stderr", stderr)
+        argv = ["validate", "--data", str(self.GOLDEN_DIR), "--store", "disk",
+                "--segment-users", "1"]
+        assert cli.main(argv + (["--quiet"] if quiet else [])) == 0
+        assert cli.main(["serve", "--data", str(self.GOLDEN_DIR)]
+                        + (["--quiet"] if quiet else [])) == 0
+        assert stderr.getvalue() == ""

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import MatchConfig, match_dataset, validate
 from repro.core.visits import extract_dataset_visits
+from repro.model import Dataset, UserData
 from repro.runtime import (
     ParallelExecutor,
     RuntimeConfigError,
@@ -106,6 +107,37 @@ class TestPipelineDeterminism:
             for u, m in match_dataset(serial).per_user.items()
         }
         assert b.n_honest >= a.n_honest  # rematching can only add matches
+
+
+class TestPrimaryStudyDeterminism:
+    """At 200 Primary users, a 4-worker validate equals the serial one."""
+
+    USERS = 200
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        dataset = generate_dataset(primary_config().scaled(self.USERS / 244))
+        assert len(dataset.users) == self.USERS
+        return dataset
+
+    @staticmethod
+    def raw_clone(dataset):
+        """A copy with visits cleared, so every run re-extracts from GPS."""
+        return Dataset(
+            name=dataset.name,
+            pois=dataset.pois,
+            users={
+                user_id: UserData(
+                    profile=data.profile, gps=data.gps, checkins=data.checkins
+                )
+                for user_id, data in dataset.users.items()
+            },
+        )
+
+    def test_four_workers_match_serial(self, study):
+        serial = validate(self.raw_clone(study))
+        parallel = validate(self.raw_clone(study), workers=4)
+        assert fingerprint(parallel) == fingerprint(serial)
 
 
 class TestSharding:

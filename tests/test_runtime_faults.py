@@ -224,8 +224,8 @@ class TestExecutorFailureContracts:
     def test_pool_started_by_another_thread_keeps_crashes_visible(
         self, monkeypatch
     ):
-        """Two threads start pools at once, as the pipelined store walk's
-        lanes do after injected crashes.  The holder thread's worker must
+        """Two threads start pools at once, each on its own executor.
+        The holder thread's worker must
         not inherit the write end of the sentinel pipe of a worker this
         thread is forking, or that worker's death goes unseen and its
         future never completes.  The bad interleaving is forced: this
@@ -578,6 +578,32 @@ class TestStoreStreamFaultDrill:
         # the crash really fired once per segment
         assert health.retries >= len(store.segments)
 
+    def test_crash_per_segment_checkpoints_replay(
+        self, store, clean_summary, tmp_path
+    ):
+        """Checkpoints written through per-segment crashes replay clean."""
+        ckpt = tmp_path / "ckpt"
+        health = RunHealth()
+        crashed = validate_store(
+            store,
+            workers=2,
+            resilience=ResilienceConfig(**FAST),
+            fault_plan=plan_of(FaultSpec("extract", 0, 1, "crash")),
+            checkpoints=ckpt,
+            health=health,
+        )
+        assert health.retries >= len(store.segments)
+        assert crashed.summary() == clean_summary.summary()
+        assert len(list(ckpt.glob("ckpt-*.pkl"))) == len(store.segments)
+        assert list(ckpt.glob("*.tmp")) == []
+
+        # the retry noise never reached the checkpoints: a fault-free
+        # rerun replays every segment and matches the clean run
+        replayed = validate_store(store, workers=2, checkpoints=ckpt)
+        assert replayed.segments_reused == len(store.segments)
+        assert replayed.summary() == clean_summary.summary()
+        assert replayed.visit_counts == clean_summary.visit_counts
+
     def test_store_files_stay_intact_through_worker_crashes(self, store):
         validate_store(
             store,
@@ -654,55 +680,12 @@ class TestStoreStreamFaultDrill:
             assert user_id in summary.summary()
         assert "DEGRADED RUN" in summary.summary()
 
-
-class TestPipelinedFaultDrill:
-    """Crash/resume drills with segments pipelined across threads.
-
-    With ``inflight_segments > 1`` a failure lands while *other*
-    segments are mid-load or mid-compute on their own lanes.  The
-    reducer must still checkpoint exactly the finished manifest prefix,
-    a resumed run must replay only those, and recovery noise (retries,
-    skips, torn checkpoints) must never leak into results.
-    """
-
-    SEGMENT_USERS = 3
-
-    @pytest.fixture(scope="class")
-    def store(self, tmp_path_factory):
-        return generate_study_store(
-            primary_config().scaled(STUDY_SCALE),
-            tmp_path_factory.mktemp("pipedrill") / "store",
-            segment_users=self.SEGMENT_USERS,
-        )
-
-    @pytest.fixture(scope="class")
-    def clean_summary(self, store):
-        return validate_store(store)
-
-    def test_crash_in_every_segment_recovers_byte_identical(
-        self, store, clean_summary
-    ):
-        health = RunHealth()
-        summary = validate_store(
-            store,
-            workers=2,
-            inflight_segments=3,
-            resilience=ResilienceConfig(**FAST),
-            fault_plan=plan_of(FaultSpec("extract", 0, 1, "crash")),
-            health=health,
-        )
-        assert summary.summary() == clean_summary.summary()
-        assert summary.visit_counts == clean_summary.visit_counts
-        assert not health.degraded
-        assert health.retries >= len(store.segments)
-
     def test_segment_scoped_fault_fires_only_there(self, store, clean_summary):
         """A FaultSpec with ``segment=`` set leaves other segments alone."""
         health = RunHealth()
         summary = validate_store(
             store,
             workers=2,
-            inflight_segments=3,
             resilience=ResilienceConfig(**FAST),
             fault_plan=plan_of(
                 FaultSpec("extract", 0, 1, "exception", segment=1)
@@ -718,7 +701,7 @@ class TestPipelinedFaultDrill:
         health = RunHealth()
         summary = validate_store(
             store,
-            inflight_segments=2,
+            workers=2,
             resilience=ResilienceConfig(**FAST),
             fault_plan=plan_of(
                 FaultSpec("segment.load", 1, 1, "exception", segment=1)
@@ -739,7 +722,7 @@ class TestPipelinedFaultDrill:
         health = RunHealth()
         summary = validate_store(
             store,
-            inflight_segments=2,
+            workers=2,
             resilience=ResilienceConfig(
                 max_retries=1, on_failure="skip_and_report", **FAST
             ),
@@ -755,14 +738,12 @@ class TestPipelinedFaultDrill:
             assert summary.visit_counts[user_id] == -1
         assert "DEGRADED RUN" in summary.summary()
 
-    def test_midflight_kill_resumes_finished_prefix_only(
+    def test_midwalk_kill_resumes_finished_prefix_only(
         self, store, clean_summary, tmp_path, monkeypatch
     ):
-        """Die while later segments are mid-load/mid-compute on lanes.
+        """Die loading segment 2 of an observed two-worker walk.
 
-        The prefetch thread is segments ahead of the reducer, so when
-        segment 2's load explodes, segments 0 and 1 are in different
-        stages (reduced / computing).  Only finished segments may leave
+        Only the finished prefix (segments 0 and 1) may leave
         checkpoints; the resumed run replays exactly those and never
         double-counts one.
         """
@@ -773,20 +754,16 @@ class TestPipelinedFaultDrill:
         def load_or_die(entry, pois=None):
             loaded.append(entry.segment_id)
             if entry.segment_id == 2:
-                raise RuntimeError("simulated crash mid-flight")
+                raise RuntimeError("simulated crash mid-walk")
             return real(entry, pois=pois)
 
         monkeypatch.setattr(store, "load_segment", load_or_die)
         # Observed run: checkpoints must carry counter deltas so the
         # resumed run's replay can be audited for double counting.
         with activate(ObsContext()):
-            with pytest.raises(RuntimeError, match="mid-flight"):
-                validate_store(
-                    store, inflight_segments=3, workers=2, checkpoints=ckpt
-                )
-        # Loads ran ahead of the reducer, but only segments 0 and 1 —
-        # the finished prefix — left checkpoints behind.
-        assert loaded[:3] == [0, 1, 2]
+            with pytest.raises(RuntimeError, match="mid-walk"):
+                validate_store(store, workers=2, checkpoints=ckpt)
+        assert loaded == [0, 1, 2]
         names = sorted(p.name for p in ckpt.glob("ckpt-*.pkl"))
         assert [n.split("-")[1] for n in names] == ["00000", "00001"]
         assert list(ckpt.glob("*.tmp")) == []
@@ -794,9 +771,7 @@ class TestPipelinedFaultDrill:
         monkeypatch.setattr(store, "load_segment", real)
         ctx = ObsContext()
         with activate(ctx):
-            resumed = validate_store(
-                store, inflight_segments=3, workers=2, checkpoints=ckpt
-            )
+            resumed = validate_store(store, workers=2, checkpoints=ckpt)
         assert resumed.segments_reused == 2
         assert resumed.summary() == clean_summary.summary()
         assert resumed.visit_counts == clean_summary.visit_counts
@@ -807,17 +782,15 @@ class TestPipelinedFaultDrill:
         assert counters["store.segments_reused"] == 2
         assert counters["store.segments_total"] == len(store.segments)
 
-    def test_torn_concurrent_checkpoints_recompute(
+    def test_torn_checkpoints_recompute_at_two_workers(
         self, store, clean_summary, tmp_path
     ):
         ckpt = tmp_path / "ckpt"
-        validate_store(store, inflight_segments=3, workers=2, checkpoints=ckpt)
+        validate_store(store, workers=2, checkpoints=ckpt)
         victims = sorted(ckpt.glob("ckpt-*.pkl"))[:2]
         for victim in victims:
             victim.write_bytes(victim.read_bytes()[:7])  # torn mid-write
-        rerun = validate_store(
-            store, inflight_segments=3, workers=2, checkpoints=ckpt
-        )
+        rerun = validate_store(store, workers=2, checkpoints=ckpt)
         assert rerun.segments_reused == len(store.segments) - len(victims)
         assert rerun.summary() == clean_summary.summary()
 
@@ -832,7 +805,7 @@ class TestPipelinedFaultDrill:
         )
         validate_store(
             store,
-            inflight_segments=2,
+            workers=2,
             resilience=ResilienceConfig(
                 max_retries=1, on_failure="skip_and_report", **FAST
             ),

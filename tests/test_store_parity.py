@@ -37,10 +37,8 @@ SEGMENT_USERS = 1
 SEMANTIC_PREFIXES = ("extract.", "matching.", "classify.", "pipeline.")
 
 
-#: Every counter a window-1 disk run records on the golden store.  The
-#: scheduler's ``store.prefetch_*`` counters are absent: at window 1
-#: nothing is prefetched, so there is no overlap or stall to count.
-WINDOW_ONE_COUNTERS = [
+#: Every counter and gauge a disk run records on the golden store.
+STORE_WALK_COUNTERS = [
     "classify.driveby_total", "classify.extraneous_total",
     "classify.other_total", "classify.remote_total",
     "classify.superfluous_total", "classify.users_total",
@@ -52,9 +50,8 @@ WINDOW_ONE_COUNTERS = [
     "runtime.merged_users_total", "runtime.shards_total",
     "runtime.stages_total", "store.segments_total",
 ]
-WINDOW_ONE_GAUGES = [
+STORE_WALK_GAUGES = [
     "matching.extraneous_fraction", "matching.missing_fraction",
-    "store.inflight_segments",
 ]
 
 
@@ -64,8 +61,8 @@ def semantic_metrics(manifest: RunManifest):
         for name, value in manifest.metrics.get("counters", {}).items()
         if name.startswith(SEMANTIC_PREFIXES)
     }
-    # Gauges likewise, minus runtime mechanics (``store.*`` — e.g. the
-    # in-flight window size, which memory runs don't have).
+    # Gauges likewise, minus runtime mechanics (``store.*``, which
+    # memory runs don't have).
     gauges = {
         name: value
         for name, value in manifest.metrics.get("gauges", {}).items()
@@ -205,51 +202,46 @@ class TestApiParity:
         assert rerun.segments_reused == 0
 
 
-class TestPipelinedParity:
-    """``--inflight-segments > 1`` must change wall-clock, nothing else.
+class TestParallelDiskParity:
+    """A parallel disk walk changes wall-clock, nothing else.
 
-    The pipelined scheduler overlaps segment loads and stage compute
-    across threads; everything observable — summary, per-user results,
-    semantic counters, manifest fingerprint, scorecard, and the
-    checkpoint files' literal bytes — must be identical to the serial
-    streaming loop at any worker count and any in-flight window.
+    ``workers`` shards each segment's stages over a process pool;
+    everything observable — summary, per-user results, semantic
+    counters, manifest fingerprint, scorecard — must be identical to the
+    serial walk, and checkpoint files must decode to its payloads.
     """
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
-        store_dir = tmp_path_factory.mktemp("pipelined") / "store"
+        store_dir = tmp_path_factory.mktemp("parallel") / "store"
         return load_dataset_into_store(GOLDEN_DIR, store_dir,
                                        segment_users=SEGMENT_USERS)
 
     def test_cli_parallel_disk_parity_smoke(self, tmp_path, capsys):
-        """The CI smoke: inflight 3 at 4 workers == serial, byte-for-byte."""
+        """The CI smoke: 4 workers == serial, byte-for-byte."""
         base = ["--store", "disk", "--segment-users", str(SEGMENT_USERS)]
-        serial = run_cli(tmp_path, "serial", *base,
-                         "--inflight-segments", "1")
+        serial = run_cli(tmp_path, "serial", *base)
         serial_out = capsys.readouterr().out
-        pipelined = run_cli(tmp_path, "pipelined", *base, "--workers", "4",
-                            "--inflight-segments", "3")
-        pipelined_out = capsys.readouterr().out
+        parallel = run_cli(tmp_path, "parallel", *base, "--workers", "4")
+        parallel_out = capsys.readouterr().out
 
-        assert result_lines(pipelined_out) == result_lines(serial_out)
-        assert pipelined.dataset == serial.dataset
-        assert pipelined.config_hash == serial.config_hash
-        assert pipelined.scorecard == serial.scorecard
-        assert semantic_metrics(pipelined) == semantic_metrics(serial)
+        assert result_lines(parallel_out) == result_lines(serial_out)
+        assert parallel.dataset == serial.dataset
+        assert parallel.config_hash == serial.config_hash
+        assert parallel.scorecard == serial.scorecard
+        assert semantic_metrics(parallel) == semantic_metrics(serial)
 
-    @pytest.mark.parametrize("workers,inflight", [(1, 3), (4, 2), (4, 8)])
-    def test_summary_parity(self, store, workers, inflight):
-        serial = validate_store(store, inflight_segments=1)
-        pipelined = validate_store(store, workers=workers,
-                                   inflight_segments=inflight)
-        assert pipelined.summary() == serial.summary()
-        assert pipelined.visit_counts == serial.visit_counts
-        assert pipelined.type_counts == serial.type_counts
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_summary_parity(self, store, workers):
+        serial = validate_store(store)
+        parallel = validate_store(store, workers=workers)
+        assert parallel.summary() == serial.summary()
+        assert parallel.visit_counts == serial.visit_counts
+        assert parallel.type_counts == serial.type_counts
 
     def test_full_report_parity(self, store):
         reference = validate_store(store, keep_results=True)
-        report = validate_store(store, workers=2, inflight_segments=3,
-                                keep_results=True)
+        report = validate_store(store, workers=4, keep_results=True)
         assert report.summary() == reference.summary()
         assert list(report.matching.per_user) == list(reference.matching.per_user)
         assert report.matching.per_user == reference.matching.per_user
@@ -257,25 +249,45 @@ class TestPipelinedParity:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_checkpoints_byte_identical(self, store, tmp_path, workers):
-        serial_dir = tmp_path / f"serial-{workers}"
-        pipe_dir = tmp_path / f"pipe-{workers}"
-        validate_store(store, workers=workers, inflight_segments=1,
-                       checkpoints=serial_dir)
-        validate_store(store, workers=workers, inflight_segments=3,
-                       checkpoints=pipe_dir)
-        serial_files = sorted(p.name for p in serial_dir.glob("*.pkl"))
-        pipe_files = sorted(p.name for p in pipe_dir.glob("*.pkl"))
-        assert serial_files == pipe_files and serial_files
-        for name in serial_files:
-            assert (pipe_dir / name).read_bytes() == \
-                (serial_dir / name).read_bytes(), name
+        """Two walks at one worker count write the same checkpoint bytes."""
+        first_dir = tmp_path / "first"
+        second_dir = tmp_path / "second"
+        validate_store(store, workers=workers, checkpoints=first_dir)
+        validate_store(store, workers=workers, checkpoints=second_dir)
+        first_files = sorted(p.name for p in first_dir.glob("*.pkl"))
+        second_files = sorted(p.name for p in second_dir.glob("*.pkl"))
+        assert first_files == second_files and first_files
+        for name in first_files:
+            assert (second_dir / name).read_bytes() == \
+                (first_dir / name).read_bytes(), name
 
-    def test_pipelined_resumes_serial_checkpoints(self, store, tmp_path):
-        """Checkpoint interop: either loop replays the other's files."""
+    def test_checkpoints_decode_equal_across_worker_counts(
+        self, store, tmp_path
+    ):
+        """A workers=4 walk checkpoints the serial walk's files and values.
+
+        The bytes differ: pickle records shared object identity, and the
+        serial walk's matches share ``Visit`` objects with the segment
+        while pool results come back as copies.
+        """
+        import pickle
+
+        serial_dir = tmp_path / "serial"
+        parallel_dir = tmp_path / "parallel"
+        validate_store(store, checkpoints=serial_dir)
+        validate_store(store, workers=4, checkpoints=parallel_dir)
+        serial_files = sorted(p.name for p in serial_dir.glob("*.pkl"))
+        parallel_files = sorted(p.name for p in parallel_dir.glob("*.pkl"))
+        assert serial_files == parallel_files and serial_files
+        for name in serial_files:
+            assert pickle.loads((parallel_dir / name).read_bytes()) == \
+                pickle.loads((serial_dir / name).read_bytes()), name
+
+    def test_parallel_resumes_serial_checkpoints(self, store, tmp_path):
+        """Checkpoint interop: a parallel walk replays a serial one's files."""
         ckpt = tmp_path / "ckpt"
         cold = validate_store(store, checkpoints=ckpt)
-        warm = validate_store(store, workers=2, inflight_segments=3,
-                              checkpoints=ckpt)
+        warm = validate_store(store, workers=4, checkpoints=ckpt)
         assert warm.segments_reused == len(store.segments)
         assert warm.summary() == cold.summary()
 
@@ -290,54 +302,43 @@ class TestPipelinedParity:
                 if name.startswith(SEMANTIC_PREFIXES)
             }
 
-        assert counters(workers=2, inflight_segments=3) == \
-            counters(workers=2, inflight_segments=1)
+        assert counters(workers=4) == counters()
 
-    def test_pipeline_stats_surface_on_manifest(self, store):
-        ctx = ObsContext()
-        with activate(ctx):
-            validate_store(store, workers=2, inflight_segments=3)
-        snapshot = ctx.metrics.snapshot()
-        counters = snapshot["counters"]
-        assert counters["store.prefetch_overlap_total"] \
-            + counters["store.prefetch_stalls_total"] == len(store.segments)
-        assert snapshot["gauges"]["store.inflight_segments"] == 3.0
+    def test_explicit_executor_walks_like_workers(self, store):
+        from repro.runtime import ParallelExecutor
 
-    def test_explicit_executor_rejects_pipelining(self, store):
-        from repro.runtime import SerialExecutor
-        from repro.runtime.errors import RuntimeConfigError
+        serial = validate_store(store)
+        with ParallelExecutor(workers=2) as executor:
+            parallel = validate_store(store, executor=executor)
+        assert parallel.summary() == serial.summary()
+        assert parallel.visit_counts == serial.visit_counts
 
-        with pytest.raises(RuntimeConfigError, match="in-flight"):
-            validate_store(store, executor=SerialExecutor(),
-                           inflight_segments=2)
-
-    def test_window_one_manifest_names_are_pinned(self, store, tmp_path):
-        """A window-1 run records exactly the serial walk's metric names,
+    def test_store_walk_manifest_names_are_pinned(self, store, tmp_path):
+        """A disk run records exactly the serial walk's metric names,
         cold and when replaying checkpoints."""
         ckpt = tmp_path / "ckpt"
 
         def names():
             ctx = ObsContext()
             with activate(ctx):
-                validate_store(store, inflight_segments=1, checkpoints=ckpt)
+                validate_store(store, checkpoints=ckpt)
             snapshot = ctx.metrics.snapshot()
             return sorted(snapshot["counters"]), sorted(snapshot["gauges"])
 
-        assert names() == (WINDOW_ONE_COUNTERS, WINDOW_ONE_GAUGES)
+        assert names() == (STORE_WALK_COUNTERS, STORE_WALK_GAUGES)
         assert names() == (
-            sorted(WINDOW_ONE_COUNTERS + ["store.segments_reused"]),
-            WINDOW_ONE_GAUGES,
+            sorted(STORE_WALK_COUNTERS + ["store.segments_reused"]),
+            STORE_WALK_GAUGES,
         )
 
 
 class TestSegmentLiveness:
-    """A reduced segment's data is released before later loads start.
+    """A reduced segment's data is released before the next load starts.
 
-    Peak memory is ``baseline + window × segment`` only if nothing keeps
-    a segment's :class:`Dataset` alive past its reduce.  Weak references
+    Peak memory is ``baseline + one segment`` only if nothing keeps a
+    segment's :class:`Dataset` alive past its reduce.  Weak references
     to every dataset ``load_segment`` returns show which earlier
-    segments are still reachable when each load starts: at window *W*
-    only the *W − 1* loaded-but-unreduced predecessors may be.
+    segments are still reachable when each load starts: none may be.
     """
 
     @pytest.fixture(scope="class")
@@ -348,9 +349,9 @@ class TestSegmentLiveness:
             checkins_per_user=4, n_pois=40,
         )
 
-    @pytest.mark.parametrize("inflight", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 3])
     def test_no_reduced_segment_alive_at_next_load(
-        self, store, monkeypatch, inflight
+        self, store, monkeypatch, workers
     ):
         original = StudyStore.load_segment
         refs = []
@@ -366,11 +367,7 @@ class TestSegmentLiveness:
             return dataset
 
         monkeypatch.setattr(StudyStore, "load_segment", tracking_load)
-        validate_store(store, inflight_segments=inflight)
-        assert len(alive_at_load) == len(store.segments)
-        for index, alive in enumerate(alive_at_load):
-            assert all(earlier > index - inflight for earlier in alive), (
-                f"load {index} started with segments {alive} still alive"
-            )
+        validate_store(store, workers=workers)
+        assert alive_at_load == [[]] * len(store.segments)
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)

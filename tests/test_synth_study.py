@@ -99,9 +99,7 @@ class TestParallelStoreGeneration:
 
     def test_parallel_fingerprint_matches_serial(self, tmp_path):
         serial = self.build(tmp_path / "serial")
-        parallel = self.build(
-            tmp_path / "parallel", workers=2, inflight_segments=3
-        )
+        parallel = self.build(tmp_path / "parallel", workers=2)
         assert parallel.fingerprint() == serial.fingerprint()
         assert parallel.n_users == serial.n_users
         assert len(parallel.segments) == len(serial.segments)
@@ -117,12 +115,26 @@ class TestParallelStoreGeneration:
         assert len(serial.segments) == 1
         assert parallel.fingerprint() == serial.fingerprint()
 
+    def test_observed_parallel_generation_counts_like_serial(self, tmp_path):
+        """Four chunks through a three-deep queue: each chunk's obs delta
+        is absorbed once, in chunk order, and the counters match serial."""
+        from repro.obs import ObsContext, activate
+
+        def observed(directory, **kwargs):
+            ctx = ObsContext()
+            with activate(ctx):
+                self.build(directory, **kwargs)
+            return ctx
+
+        serial = observed(tmp_path / "serial")
+        parallel = observed(tmp_path / "parallel", workers=2)
+        assert parallel.metrics.snapshot()["counters"] == \
+            serial.metrics.snapshot()["counters"]
+        chunks = [span.attrs["chunk"] for span in parallel.spans_named("shard.run")]
+        assert chunks == [0, 1, 2, 3]
+
     def test_parallel_store_reopens_and_verifies(self, tmp_path):
-        self.build(tmp_path / "store", workers=2, inflight_segments=2)
+        self.build(tmp_path / "store", workers=2)
         store = StudyStore.open(tmp_path / "store")
         store.verify()
         assert store.n_users == 10
-
-    def test_invalid_inflight_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="inflight"):
-            self.build(tmp_path / "bad", workers=2, inflight_segments=0)

@@ -12,8 +12,8 @@ Three acts, each failing loudly on regression:
    must parse as OpenMetrics text and carry the serve instrument
    families plus process stats.
 2. Run ``repro-study validate --store disk --telemetry DIR2`` and check
-   the finished status file published the runtime scheduler figures
-   (segments done, in-flight window, prefetch overlap).
+   the finished status file published the store walk's progress
+   (segments and users done).
 3. Point ``repro-study monitor --once`` at both status files and require
    a rendered dashboard and a zero exit.
 """
@@ -113,13 +113,12 @@ def disk_validate_with_telemetry(tel_dir: Path, store_dir: Path) -> None:
     if not status["finished"]:
         fail("disk validate left live.json unfinished")
     gauges = status["metrics"]["gauges"]
-    for name in ("store.segments_done", "store.users_done",
-                 "store.inflight_segments", "store.prefetch_overlap"):
+    for name in ("store.segments_done", "store.users_done"):
         if name not in gauges:
-            fail(f"runtime gauge {name} missing from finished status")
+            fail(f"progress gauge {name} missing from finished status")
     if gauges["store.segments_done"] != gauges["store.segments_planned"]:
         fail("segments_done != segments_planned on a finished run")
-    print("monitor smoke: disk-validate runtime figures ok")
+    print("monitor smoke: disk-validate progress figures ok")
 
 
 def monitor_once(tel_dir: Path) -> None:
