@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -192,10 +193,15 @@ class ClassificationResult:
 def classify_extraneous_checkin(
     checkin: Checkin,
     locator: GpsLocator,
-    visit_index: GridIndex,
+    candidates: Sequence[Tuple[float, Visit]],
     config: ClassifyConfig,
 ) -> CheckinType:
-    """Assign one extraneous checkin to the Section 5.1 taxonomy."""
+    """Assign one extraneous checkin to the Section 5.1 taxonomy.
+
+    ``candidates`` are the user's visits within ``alpha_m`` of the
+    checkin, as ``(distance, visit)`` pairs in any order (one row of
+    :meth:`GridIndex.within_many`, or a :meth:`GridIndex.within` call).
+    """
     fix = locator.locate(checkin.t, config.max_fix_age_s)
     if fix is None:
         return CheckinType.OTHER
@@ -205,7 +211,7 @@ def classify_extraneous_checkin(
     speed = locator.speed(checkin.t, config.speed_window_s)
     if speed is not None and speed > config.driveby_speed_ms:
         return CheckinType.DRIVEBY
-    for _, visit in visit_index.within(checkin.x, checkin.y, config.alpha_m):
+    for _, visit in candidates:
         if visit.time_distance(checkin.t) <= config.beta_s:
             return CheckinType.SUPERFLUOUS
     return CheckinType.OTHER
@@ -220,17 +226,26 @@ def classify_user_extraneous(
     """Label one user's extraneous checkins, in their given order.
 
     The single per-user classification routine behind both the batch
-    shard worker and the streaming engine: build the GPS locator and the
-    visit index once, then run the Section 5.1 taxonomy per checkin.
-    Pure — no observation, no shared state — so it is safe from any
-    thread.
+    shard worker and the streaming engine: build the GPS locator once,
+    gather every checkin's nearby visits in one batched radius query,
+    then run the Section 5.1 taxonomy per checkin.  Pure — no
+    observation, no shared state — so it is safe from any thread.
     """
+    if not extraneous:
+        return []
     locator = GpsLocator(gps)
-    visit_index: GridIndex = GridIndex(cell_size=max(100.0, config.alpha_m))
-    visit_index.extend([(visit.x, visit.y, visit) for visit in visits])
+    visit_index: GridIndex = GridIndex.from_columns(
+        [visit.x for visit in visits],
+        [visit.y for visit in visits],
+        visits,
+        cell_size=max(100.0, config.alpha_m),
+    )
+    candidate_lists = visit_index.within_many(
+        [c.x for c in extraneous], [c.y for c in extraneous], config.alpha_m
+    )
     return [
-        classify_extraneous_checkin(checkin, locator, visit_index, config)
-        for checkin in extraneous
+        classify_extraneous_checkin(checkin, locator, candidates, config)
+        for checkin, candidates in zip(extraneous, candidate_lists)
     ]
 
 
@@ -248,8 +263,10 @@ def _classify_shard(payload: Tuple) -> Dict[str, List[CheckinType]]:
     out: Dict[str, List[CheckinType]] = {}
     for user_id, gps, visits, extraneous in users:
         labels = classify_user_extraneous(gps, visits, extraneous, config)
-        for label in labels:
-            obs.count(f"classify.{label.value}_total", 1)
+        # Counter keeps first-appearance order, so counter keys are
+        # created in the same order as counting checkin by checkin.
+        for label, n in Counter(labels).items():
+            obs.count(f"classify.{label.value}_total", n)
         obs.count("classify.users_total", 1)
         obs.count("classify.extraneous_total", len(labels))
         out[user_id] = labels

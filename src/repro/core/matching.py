@@ -188,18 +188,6 @@ def _best_from_candidates(
     return best
 
 
-def _best_visit(
-    checkin: Checkin,
-    index: GridIndex,
-    config: MatchConfig,
-    exclude: Optional[set] = None,
-) -> Optional[Tuple[Visit, float]]:
-    """Step 1 + Step 2 for one checkin: the temporally closest visit in range."""
-    return _best_from_candidates(
-        checkin, index.within(checkin.x, checkin.y, config.alpha_m), config, exclude
-    )
-
-
 def match_user(
     checkins: Sequence[Checkin],
     visits: Sequence[Visit],
@@ -224,8 +212,12 @@ def match_user(
             user_id = visits[0].user_id
         else:
             user_id = "unknown"
-    index: GridIndex = GridIndex(cell_size=max(100.0, config.alpha_m))
-    index.extend([(visit.x, visit.y, visit) for visit in visits])
+    index: GridIndex = GridIndex.from_columns(
+        [visit.x for visit in visits],
+        [visit.y for visit in visits],
+        visits,
+        cell_size=max(100.0, config.alpha_m),
+    )
 
     if obs is None:
         obs = obs_current()
@@ -289,7 +281,7 @@ def match_user(
             # extraneous — nothing may stay pending past this point.
             losers.extend(round_losers)
             break
-        # Claimed visits are excluded in _best_visit via `assigned`, so the
+        # Claimed visits are excluded via `exclude` (built from `assigned`), so the
         # next round only considers still-free visits.
         pending = round_losers
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from ..model import CheckinType, Dataset, UserData
-from ..obs import ObsContext, ProgressLine, activate, config_hash, thread_activate
+from ..obs import ObsContext, ProgressLine, activate, config_hash
 from ..obs import current as obs_current
 from ..runtime import (
     DegradedResult,
@@ -558,7 +558,7 @@ def validate_store(
             # counter delta; the run context absorbs it afterwards.
             seg_ctx = ObsContext(profile=ctx.profile_enabled)
             base_s = ctx.clock()
-            with thread_activate(seg_ctx), seg_ctx.span(
+            with activate(seg_ctx), seg_ctx.span(
                 "store.segment",
                 segment=entry.segment_id,
                 users=entry.n_users,

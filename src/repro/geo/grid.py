@@ -8,18 +8,18 @@ cell is simple, dependency-free, and O(points in nearby cells) per query.
 
 Two representations coexist: mutable per-cell Python buckets (inserts,
 ``within``/``nearest``) and a lazily built columnar snapshot — flat
-NumPy coordinate arrays grouped cell by cell — that powers the batched
-:meth:`GridIndex.within_many`, which amortises per-query overhead when a
-caller needs candidates for many query points at once.  Below
-:data:`_BRUTE_FORCE_MAX` points the batch is one blocked (queries x
-points) distance pass, :func:`pairs_within`, which the MANET engine
-also runs directly on node coordinates for a tick's broadcasts.
+NumPy coordinate arrays — that powers the batched
+:meth:`GridIndex.within_many` and :meth:`GridIndex.nearest_many`, which
+amortise per-query overhead when a caller needs answers for many query
+points at once.  A batch of at most :data:`_BLOCK_ELEMENTS` (query,
+point) pairs is one distance pass, :func:`pairs_within`, which the
+MANET engine also runs directly on node coordinates for a tick's
+broadcasts; a larger batch tests only each query's x-strip of points.
 
 Either representation can come first.  :meth:`GridIndex.from_columns`
-bulk-loads coordinate arrays straight into the columnar snapshot (one
-vectorised cell-sort, no per-point Python work) and defers building the
-Python buckets until a bucket API (``within``/``nearest``/iteration/
-mutation) is actually used.
+bulk-loads coordinate arrays straight into the columnar snapshot (no
+per-point Python work) and defers building the Python buckets until a
+bucket API (``within``/``nearest``/iteration/mutation) is actually used.
 """
 
 from __future__ import annotations
@@ -34,12 +34,9 @@ T = TypeVar("T")
 
 _Cell = Tuple[int, int]
 
-#: Below this many indexed points a batched query beats cell gathering
-#: with one vectorised distance pass over *all* points.
-_BRUTE_FORCE_MAX = 4096
-
-#: Elements per row block of a (queries x points) distance pass: bounds
-#: its float64 temporaries at a few hundred KB each, whatever the sizes.
+#: Elements per row block of a (queries x points) distance pass, and
+#: candidate pairs per query block of an x-strip search: bounds their
+#: float64 temporaries at a few hundred KB each, whatever the sizes.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -72,6 +69,19 @@ def split_rows(flat: list, rows: np.ndarray, n_rows: int) -> List[list]:
     """Cut ``flat`` (one entry per hit, ordered by row) into per-row lists."""
     bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _query_columns(
+    xs: Sequence[float], ys: Sequence[float], radius: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a batched query: coordinates as float64 arrays."""
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius!r}")
+    qx = np.asarray(xs, dtype=np.float64)
+    qy = np.asarray(ys, dtype=np.float64)
+    if qx.shape != qy.shape or qx.ndim != 1:
+        raise ValueError("batched queries take two equal-length 1-d coordinate arrays")
+    return qx, qy
 
 
 class GridIndex(Generic[T]):
@@ -118,11 +128,14 @@ class GridIndex(Generic[T]):
             return
         cols = self._columns
         assert cols is not None
-        spans = cols.spans  # may sort cols.x/y/items in place; read it first
-        xs = cols.x.tolist()
-        ys = cols.y.tolist()
-        for cell, (lo, hi) in spans.items():
-            self._cells[cell].extend(zip(xs[lo:hi], ys[lo:hi], cols.items[lo:hi]))
+        gx = np.floor(cols.x / self.cell_size).astype(np.int64)
+        gy = np.floor(cols.y / self.cell_size).astype(np.int64)
+        for x, y, item, cx, cy in zip(
+            cols.x.tolist(), cols.y.tolist(), cols.items, gx.tolist(), gy.tolist()
+        ):
+            self._cells[(cx, cy)].append((x, y, item))
+        self._grow_bbox(int(gx.min()), int(gy.min()))
+        self._grow_bbox(int(gx.max()), int(gy.max()))
         self._cells_stale = False
 
     def _cell_of(self, x: float, y: float) -> _Cell:
@@ -218,48 +231,111 @@ class GridIndex(Generic[T]):
         the distance filter as array arithmetic over a columnar snapshot
         of the index, amortising the per-query bucket walk.
         """
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius!r}")
-        qx = np.asarray(xs, dtype=np.float64)
-        qy = np.asarray(ys, dtype=np.float64)
-        if qx.shape != qy.shape or qx.ndim != 1:
-            raise ValueError("within_many takes two equal-length 1-d coordinate arrays")
+        qx, qy = _query_columns(xs, ys, radius)
         if self._count == 0 or qx.size == 0:
             return [[] for _ in range(qx.size)]
-        cols = self._ensure_columns()
-        if self._count <= _BRUTE_FORCE_MAX:
-            # One blocked array pass over every (query, indexed point) pair.
-            rows, hit, d2 = pairs_within(cols.x, cols.y, qx, qy, radius)
-            items = cols.items
-            flat = [
-                (d, items[i]) for d, i in zip(np.sqrt(d2).tolist(), hit.tolist())
-            ]
-            return split_rows(flat, rows, qx.size)
-        out: List[List[Tuple[float, T]]] = []
-        r2 = radius * radius
-        reach = math.ceil(radius / self.cell_size)
-        for x, y in zip(qx.tolist(), qy.tolist()):
-            cx, cy = self._cell_of(x, y)
-            spans = [
-                cols.spans[(gx, gy)]
-                for gx in range(cx - reach, cx + reach + 1)
-                for gy in range(cy - reach, cy + reach + 1)
-                if (gx, gy) in cols.spans
-            ]
-            if not spans:
-                out.append([])
+        rows, hit, d2 = self._pairs(qx, qy, radius)
+        items = self._columns.items
+        flat = [(d, items[i]) for d, i in zip(np.sqrt(d2).tolist(), hit.tolist())]
+        return split_rows(flat, rows, qx.size)
+
+    def nearest_many(
+        self,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        max_radius: float,
+    ) -> List["Tuple[float, T] | None"]:
+        """Batched :meth:`nearest`: the same result for every query point.
+
+        One squared-distance prefilter over the columnar snapshot, at a
+        radius a hair above ``max_radius`` so no point whose
+        ``math.hypot`` distance rounds inside it is dropped; then
+        ``nearest``'s exact rule on the survivors: ``math.hypot`` distance
+        ``<= max_radius``, smallest wins, and exact ties go to the point
+        ``nearest``'s ring walk meets first (ring, then cell, then
+        insertion order).
+        """
+        qx, qy = _query_columns(xs, ys, max_radius)
+        out: List["Tuple[float, T] | None"] = [None] * qx.size
+        if self._count == 0 or qx.size == 0:
+            return out
+        rows, hit, _ = self._pairs(qx, qy, max_radius * (1.0 + 1e-9))
+        cols = self._columns
+        best: Dict[int, Tuple[float, int]] = {}
+        for r, i, x, y, px, py in zip(
+            rows.tolist(),
+            hit.tolist(),
+            qx[rows].tolist(),
+            qy[rows].tolist(),
+            cols.x[hit].tolist(),
+            cols.y[hit].tolist(),
+        ):
+            d = math.hypot(px - x, py - y)
+            if d > max_radius:
                 continue
-            idx = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-            d2 = (cols.x[idx] - x) ** 2 + (cols.y[idx] - y) ** 2
-            keep = d2 <= r2
-            dists = np.sqrt(d2[keep])
-            out.append(
-                [
-                    (d, cols.items[i])
-                    for d, i in zip(dists.tolist(), idx[keep].tolist())
-                ]
-            )
+            held = best.get(r)
+            if held is None or d < held[0] or (
+                d == held[0]
+                and self._walk_order(x, y, i) < self._walk_order(x, y, held[1])
+            ):
+                best[r] = (d, i)
+        for r, (d, i) in best.items():
+            out[r] = (d, cols.items[i])
         return out
+
+    def _walk_order(self, x: float, y: float, i: int) -> Tuple[int, int, int, int]:
+        """Where :meth:`nearest`'s ring walk from (x, y) meets column row ``i``.
+
+        Rows of one cell keep their insertion order in the snapshot, so
+        the row number orders points within a cell.
+        """
+        cx, cy = self._cell_of(x, y)
+        gx, gy = self._cell_of(float(self._columns.x[i]), float(self._columns.y[i]))
+        return (max(abs(gx - cx), abs(gy - cy)), gx, gy, i)
+
+    def _pairs(
+        self, qx: np.ndarray, qy: np.ndarray, radius: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (query, snapshot row) pair within ``radius``: query
+        index, row and squared distance of each hit, ordered by query.
+
+        A small batch is one :func:`pairs_within` pass over every
+        (query, point) pair.  A larger one tests only the points in each
+        query's x-strip ``[qx - radius, qx + radius]``, found by binary
+        search on the x-sorted rows, a block of queries at a time so the
+        candidate arrays stay near :data:`_BLOCK_ELEMENTS`.  Both paths
+        compute the same squared distances with the same arithmetic, so
+        they agree exactly.
+        """
+        cols = self._ensure_columns()
+        if qx.size * self._count <= _BLOCK_ELEMENTS:
+            return pairs_within(cols.x, cols.y, qx, qy, radius)
+        order, sx = cols.by_x
+        # The strip only preselects: widen it past any rounding in
+        # ``qx +- radius`` so the exact test below sees every hit.
+        pad = radius + 1e-9 * (radius + np.abs(qx))
+        lo = np.searchsorted(sx, qx - pad, side="left")
+        counts = np.searchsorted(sx, qx + pad, side="right") - lo
+        ends = np.cumsum(counts)
+        cuts = np.searchsorted(
+            ends, np.arange(_BLOCK_ELEMENTS, int(ends[-1]), _BLOCK_ELEMENTS)
+        )
+        bounds = sorted({0, qx.size, *cuts.tolist()})
+        r2 = radius * radius
+        found = []
+        for qa, qb in zip(bounds, bounds[1:]):
+            n = counts[qa:qb]
+            rows = np.repeat(np.arange(qa, qb), n)
+            # Row k of this block is strip position lo[q] + (k - first[q]).
+            first = ends[qa:qb] - n - (ends[qa] - counts[qa])
+            idx = order[np.arange(rows.size) + np.repeat(lo[qa:qb] - first, n)]
+            d2 = (cols.x[idx] - qx[rows]) ** 2 + (cols.y[idx] - qy[rows]) ** 2
+            keep = d2 <= r2
+            found.append((rows[keep], idx[keep], d2[keep]))
+        if len(found) == 1:
+            return found[0]
+        rows, hit, d2 = zip(*found)
+        return np.concatenate(rows), np.concatenate(hit), np.concatenate(d2)
 
     def _ensure_columns(self) -> "_Columns[T]":
         """The columnar snapshot, rebuilt if writes invalidated it."""
@@ -328,14 +404,13 @@ class GridIndex(Generic[T]):
     ) -> "GridIndex[T]":
         """Bulk-load an index from coordinate arrays.
 
-        Builds the columnar :meth:`within_many` snapshot directly — one
-        vectorised cell computation, no per-point Python work — and
-        defers materialising the per-cell Python buckets until a bucket
-        API (``within``, ``nearest``, iteration, or a mutation) is used.
-        Even the cell sort is deferred: the sub-:data:`_BRUTE_FORCE_MAX`
-        batched path scans every point regardless of grouping, so a
-        bulk-loaded index pays for sorting only if the span table or the
-        buckets are actually needed.
+        Builds the columnar snapshot of the batched queries directly,
+        with no per-point Python work, and defers the cell sort, the
+        per-cell Python buckets and their bounding box until
+        a bucket API (``within``, ``nearest``, iteration, or a mutation)
+        is used.  The batched queries never need the cell grouping, so a
+        bulk-loaded index that only answers them costs two array
+        conversions.
         """
         index: GridIndex[T] = cls(cell_size)
         qx = np.asarray(xs, dtype=np.float64)
@@ -347,12 +422,8 @@ class GridIndex(Generic[T]):
             raise ValueError(f"expected {n} items, got {len(items)}")
         if n == 0:
             return index
-        gx = np.floor(qx / index.cell_size).astype(np.int64)
-        gy = np.floor(qy / index.cell_size).astype(np.int64)
-        index._columns = _Columns(qx, qy, list(items), cells_xy=(gx, gy))
+        index._columns = _Columns(qx, qy, list(items))
         index._count = n
-        index._grow_bbox(int(gx.min()), int(gy.min()))
-        index._grow_bbox(int(gx.max()), int(gy.max()))
         index._cells_stale = True
         return index
 
@@ -360,74 +431,34 @@ class GridIndex(Generic[T]):
 class _Columns(Generic[T]):
     """Flat columnar snapshot of a grid: coordinates + items.
 
-    Built from buckets the rows arrive cell-grouped with an eager span
-    table.  Built from a bulk :meth:`GridIndex.from_columns` load the
-    rows stay in caller order with their cell coordinates on the side;
-    the first :attr:`spans` access sorts rows by cell in place and
-    derives the span table then — the brute-force ``within_many`` path
-    reads only ``x``/``y``/``items`` and never triggers the sort.
+    Built from buckets the rows arrive cell by cell, each cell's rows in
+    insertion order; built from a bulk :meth:`GridIndex.from_columns`
+    load they stay in caller order.  Either way one cell's rows keep
+    their insertion order, which :meth:`GridIndex.nearest_many` relies
+    on to break ties the way :meth:`GridIndex.nearest` does.
     """
 
-    __slots__ = ("x", "y", "items", "_spans", "_cells_xy")
+    __slots__ = ("x", "y", "items", "_by_x")
 
-    def __init__(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        items: List[T],
-        spans: "Dict[_Cell, Tuple[int, int]] | None" = None,
-        cells_xy: "Tuple[np.ndarray, np.ndarray] | None" = None,
-    ) -> None:
+    def __init__(self, x: np.ndarray, y: np.ndarray, items: List[T]) -> None:
         self.x = x
         self.y = y
         self.items = items
-        self._spans = spans
-        self._cells_xy = cells_xy
+        self._by_x: "Tuple[np.ndarray, np.ndarray] | None" = None
 
     @property
-    def spans(self) -> Dict[_Cell, Tuple[int, int]]:
-        """Cell -> (start, end) row range, sorting rows by cell on demand."""
-        if self._spans is None:
-            gx, gy = self._cells_xy
-            order = np.lexsort((gy, gx))
-            self.x = self.x[order]
-            self.y = self.y[order]
-            items = self.items
-            self.items = [items[i] for i in order.tolist()]
-            sgx = gx[order]
-            sgy = gy[order]
-            n = sgx.size
-            cut = np.flatnonzero((np.diff(sgx) != 0) | (np.diff(sgy) != 0)) + 1
-            starts = np.concatenate(([0], cut))
-            ends = np.concatenate((cut, [n]))
-            self._cells_xy = None
-            self._spans = {
-                (cx, cy): (lo, hi)
-                for cx, cy, lo, hi in zip(
-                    sgx[starts].tolist(),
-                    sgy[starts].tolist(),
-                    starts.tolist(),
-                    ends.tolist(),
-                )
-            }
-        return self._spans
+    def by_x(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Row order by x coordinate, and the x column in that order."""
+        if self._by_x is None:
+            order = np.argsort(self.x, kind="stable")
+            self._by_x = (order, self.x[order])
+        return self._by_x
 
     @classmethod
     def build(
         cls, cells: Dict[_Cell, List[Tuple[float, float, T]]], count: int
     ) -> "_Columns[T]":
-        x = np.empty(count, dtype=np.float64)
-        y = np.empty(count, dtype=np.float64)
-        items: List[T] = []
-        spans: Dict[_Cell, Tuple[int, int]] = {}
-        pos = 0
-        for cell, bucket in cells.items():
-            start = pos
-            for px, py, item in bucket:
-                x[pos] = px
-                y[pos] = py
-                items.append(item)
-                pos += 1
-            if pos > start:
-                spans[cell] = (start, pos)
-        return cls(x, y, items, spans=spans)
+        rows = [row for bucket in cells.values() for row in bucket]
+        x = np.fromiter((row[0] for row in rows), dtype=np.float64, count=count)
+        y = np.fromiter((row[1] for row in rows), dtype=np.float64, count=count)
+        return cls(x, y, [row[2] for row in rows])

@@ -29,10 +29,10 @@ class PoiCategory(enum.Enum):
     @classmethod
     def from_label(cls, label: str) -> "PoiCategory":
         """Look a category up by its human-readable label."""
-        for category in cls:
-            if category.value == label:
-                return category
-        raise ValueError(f"unknown POI category label: {label!r}")
+        try:
+            return cls(label)
+        except ValueError:
+            raise ValueError(f"unknown POI category label: {label!r}") from None
 
 
 class CheckinType(enum.Enum):

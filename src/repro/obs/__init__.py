@@ -54,7 +54,6 @@ from .context import (
     SpanRecord,
     activate,
     current,
-    thread_activate,
 )
 from .diff import DiffEntry, ManifestDiff, diff_manifests, diff_traces
 from .export import read_trace, trace_records, write_trace
@@ -132,7 +131,6 @@ __all__ = [
     "render_openmetrics",
     "report_statistics",
     "scorecard_for_manifest",
-    "thread_activate",
     "top_functions",
     "trace_records",
     "write_trace",

@@ -25,7 +25,6 @@ deterministically.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -314,18 +313,9 @@ NULL_OBS = NullObs()
 
 _current: Any = NULL_OBS
 
-#: Thread-local override.  A thread that activates its own context via
-#: :class:`thread_activate` sees that context from :func:`current`;
-#: every other thread keeps seeing the process-global one set by
-#: :class:`activate`.
-_tls = threading.local()
-
 
 def current() -> Any:
     """The ambient observation context (``NULL_OBS`` when none active)."""
-    override = getattr(_tls, "ctx", None)
-    if override is not None:
-        return override
     return _current
 
 
@@ -351,28 +341,3 @@ class activate:
     def __exit__(self, *exc_info: Any) -> None:
         global _current
         _current = self._previous
-
-
-class thread_activate:
-    """Make ``ctx`` the ambient context *for this thread only* (re-entrant).
-
-    The store walk runs each segment, and the executor each in-process
-    shard, under a private :class:`ObsContext`; the thread-local override
-    shadows whatever context is ambient, so the unit's spans and counters
-    land in its own context and never in its parent's.  Other threads
-    are unaffected.
-    """
-
-    __slots__ = ("ctx", "_previous")
-
-    def __init__(self, ctx: Any) -> None:
-        self.ctx = ctx
-        self._previous: Any = None
-
-    def __enter__(self) -> Any:
-        self._previous = getattr(_tls, "ctx", None)
-        _tls.ctx = self.ctx
-        return self.ctx
-
-    def __exit__(self, *exc_info: Any) -> None:
-        _tls.ctx = self._previous

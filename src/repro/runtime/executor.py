@@ -26,7 +26,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..obs import ObsContext, activate, thread_activate
+from ..obs import ObsContext, activate
 from ..obs import current as obs_current
 from .errors import RuntimeConfigError, ShardError, WorkUnitError
 from .faults import FaultPlan
@@ -241,10 +241,7 @@ class _Instrumented:
             result = self.fn(payload)
             return time.perf_counter() - t0, None, result
         ctx = ObsContext(profile=self.profile)
-        # Also override the thread-local slot: an in-process shard (and
-        # a forked worker) inherits the submitting thread's override
-        # (see repro.obs), which would otherwise swallow its counters.
-        with activate(ctx), thread_activate(ctx), ctx.span("shard.run"):
+        with activate(ctx), ctx.span("shard.run"):
             if self.profile:
                 from ..obs.profile import profile_call
 

@@ -1,14 +1,15 @@
 """Scalar reference implementations: the parity oracles.
 
-Production has one implementation per stage — the columnar stay-point
-kernel in :mod:`repro.core.visits` and the batched MANET tick loop in
-:mod:`repro.manet.engine`.  The plain per-point / per-node loops they
-were derived from live here, where the parity suites compare production
-against them byte for byte (``test_visits_kernels.py``,
-``test_manet_engines.py``).  The MANET oracle also runs its own node
-hot paths (:class:`ReferenceAodvNode`), so the shortcuts production
-takes inside :class:`repro.manet.AodvNode` are checked too.  Each
-oracle is the most direct reading of the algorithm; none of it is tuned.
+Production has one implementation per stage — the lockstep-lane
+stay-point kernel in :mod:`repro.core.visits`, with its batched POI
+annotation, and the batched MANET tick loop in :mod:`repro.manet.engine`.
+The plain per-point / per-visit / per-node loops they were derived from
+live here, where the parity suites compare production against them byte
+for byte (``test_visits_kernels.py``, ``test_manet_engines.py``).  The
+MANET oracle also runs its own node hot paths
+(:class:`ReferenceAodvNode`), so the shortcuts production takes inside
+:class:`repro.manet.AodvNode` are checked too.  Each oracle is the most
+direct reading of the algorithm; none of it is tuned.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.visits import VisitConfig, _make_visit
+from repro.core.visits import VisitConfig
 from repro.geo import GridIndex
 from repro.manet import AodvNode, Simulator
 from repro.manet.aodv import Payload
@@ -36,6 +37,33 @@ def extract_visits_scalar(
     pts = sorted(points, key=lambda p: p.t)
     return _extract_visits_scalar(
         pts, user_id, config or VisitConfig(), poi_index, start_counter
+    )
+
+
+def _make_visit(
+    user_id: str,
+    counter: int,
+    cx: float,
+    cy: float,
+    t_start: float,
+    t_end: float,
+    config: VisitConfig,
+    poi_index: Optional[GridIndex],
+) -> Visit:
+    """Emit one visit, annotated through one :meth:`GridIndex.nearest` call."""
+    poi_id = None
+    if poi_index is not None:
+        hit = poi_index.nearest(cx, cy, max_radius=config.annotate_radius_m)
+        if hit is not None:
+            poi_id = hit[1].poi_id
+    return Visit(
+        visit_id=f"{user_id}-v{counter:05d}",
+        user_id=user_id,
+        x=cx,
+        y=cy,
+        t_start=t_start,
+        t_end=t_end,
+        poi_id=poi_id,
     )
 
 

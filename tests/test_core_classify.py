@@ -66,7 +66,8 @@ def classify_one(checkin, gps, visits, config=None):
     index = GridIndex(cell_size=500.0)
     for v in visits:
         index.insert(v.x, v.y, v)
-    return classify_extraneous_checkin(checkin, locator, index, config)
+    candidates = index.within(checkin.x, checkin.y, config.alpha_m)
+    return classify_extraneous_checkin(checkin, locator, candidates, config)
 
 
 class TestTaxonomy:
@@ -167,3 +168,33 @@ def test_config_defaults_match_paper():
     assert config.remote_distance_m == 500.0
     assert config.driveby_speed_ms == pytest.approx(units.mph(4.0))
     assert config.beta_s == 1800.0
+
+
+def test_batched_candidates_match_per_checkin_within():
+    """``classify_user_extraneous`` gathers every checkin's nearby visits
+    with one ``within_many`` call; the labels equal one ``within`` query
+    per checkin, user by user, on the golden fixture."""
+    from pathlib import Path
+
+    from repro.core import classify_user_extraneous, validate
+    from repro.io import load_dataset
+
+    golden = Path(__file__).resolve().parent / "data" / "golden_study"
+    report = validate(load_dataset(golden))
+    config = ClassifyConfig()
+    seen = set()
+    for user_id, data in report.dataset.users.items():
+        extraneous = report.matching.per_user[user_id].extraneous
+        index = GridIndex(cell_size=max(100.0, config.alpha_m))
+        index.extend([(v.x, v.y, v) for v in data.visits])
+        locator = GpsLocator(data.gps)
+        per_checkin = [
+            classify_extraneous_checkin(
+                c, locator, index.within(c.x, c.y, config.alpha_m), config
+            )
+            for c in extraneous
+        ]
+        batched = classify_user_extraneous(data.gps, data.visits, extraneous, config)
+        assert batched == per_checkin
+        seen.update(per_checkin)
+    assert CheckinType.SUPERFLUOUS in seen

@@ -178,19 +178,34 @@ def test_pairs_within_blocks_match_per_query_passes(rng, monkeypatch):
     ]
 
 
-def test_within_many_cell_gather_path(rng):
-    # Above the brute-force cutoff the batched query gathers neighbour
-    # cells instead; results must not change.
-    from repro.geo.grid import _BRUTE_FORCE_MAX
+def assert_same_candidates(got, want):
+    """Same items; distances to the last bit or two.  ``within`` squares
+    with Python's ``**`` (libm ``pow``), the batched paths multiply, and
+    the two may round a square differently."""
+    assert sorted(i for _, i in got) == sorted(i for _, i in want)
+    assert sorted(d for d, _ in got) == pytest.approx(
+        sorted(d for d, _ in want), rel=1e-15
+    )
 
-    n = _BRUTE_FORCE_MAX + 100
+
+@pytest.mark.parametrize("block", [None, 64, 1])
+def test_within_many_strip_path(rng, monkeypatch, block):
+    # Past one distance block of (query, point) pairs the batched query
+    # searches each query's x-strip instead, a block of queries at a
+    # time; results must not change, whatever the block size.
+    from repro.geo import grid
+
+    if block is not None:
+        monkeypatch.setattr(grid, "_BLOCK_ELEMENTS", block)
+    n = 5000
     points = rng.uniform(0, 5000, size=(n, 2))
     index = GridIndex(cell_size=150.0)
     index.extend([(float(x), float(y), i) for i, (x, y) in enumerate(points)])
-    qx = [float(v) for v in rng.uniform(0, 5000, size=10)]
-    qy = [float(v) for v in rng.uniform(0, 5000, size=10)]
+    qx = [float(v) for v in rng.uniform(0, 5000, size=20)]
+    qy = [float(v) for v in rng.uniform(0, 5000, size=20)]
+    assert len(qx) * n > grid._BLOCK_ELEMENTS
     for x, y, got in zip(qx, qy, index.within_many(qx, qy, 400.0)):
-        assert sorted(got) == sorted(index.within(x, y, 400.0))
+        assert_same_candidates(got, index.within(x, y, 400.0))
 
 
 def test_within_many_edge_cases():
@@ -278,20 +293,21 @@ class TestFromColumns:
         with pytest.raises(ValueError, match="items"):
             GridIndex.from_columns([0.0, 1.0], [0.0, 1.0], [1], cell_size=10.0)
 
-    def test_cell_gather_path_after_bulk_load(self, rng):
-        # Above the brute-force cutoff the lazily built span table backs
-        # the batched query; answers must match per-query within().
-        from repro.geo.grid import _BRUTE_FORCE_MAX
+    def test_strip_path_after_bulk_load(self, rng):
+        # Past one distance block the x-sorted rows back the batched
+        # query; answers must match per-query within().
+        from repro.geo.grid import _BLOCK_ELEMENTS
 
-        n = _BRUTE_FORCE_MAX + 50
+        n = 5000
         points = rng.uniform(0, 5000, size=(n, 2))
         index = GridIndex.from_columns(
             points[:, 0], points[:, 1], list(range(n)), cell_size=150.0
         )
-        qx = [float(v) for v in rng.uniform(0, 5000, size=6)]
-        qy = [float(v) for v in rng.uniform(0, 5000, size=6)]
+        qx = [float(v) for v in rng.uniform(0, 5000, size=20)]
+        qy = [float(v) for v in rng.uniform(0, 5000, size=20)]
+        assert len(qx) * n > _BLOCK_ELEMENTS
         for x, y, got in zip(qx, qy, index.within_many(qx, qy, 350.0)):
-            assert sorted(got) == sorted(index.within(x, y, 350.0))
+            assert_same_candidates(got, index.within(x, y, 350.0))
 
     def test_nearest_ring_bound_after_bulk_load(self):
         index = GridIndex.from_columns(
@@ -299,3 +315,54 @@ class TestFromColumns:
         )
         assert index.nearest(0, 0)[1] == "e"
         assert index.nearest(-1990, -1990)[1] == "sw"
+
+
+class TestNearestMany:
+    """Batched nearest: the same answer as one ``nearest`` per query."""
+
+    @pytest.mark.parametrize("n", [60, 5000])  # one distance block; x-strip
+    def test_matches_nearest(self, rng, n):
+        points = rng.uniform(0, 3000, size=(n, 2))
+        points[n // 2 : n // 2 + 10] = points[:10]  # exact duplicate ties
+        index = GridIndex.from_columns(
+            points[:, 0], points[:, 1], list(range(n)), cell_size=250.0
+        )
+        qx = np.concatenate((rng.uniform(-100, 3100, 40), points[:5, 0]))
+        qy = np.concatenate((rng.uniform(-100, 3100, 40), points[:5, 1]))
+        expected = [
+            index.nearest(x, y, max_radius=150.0)
+            for x, y in zip(qx.tolist(), qy.tolist())
+        ]
+        assert any(hit is not None for hit in expected)
+        assert index.nearest_many(qx, qy, 150.0) == expected
+
+    def test_ties_follow_the_ring_walk(self):
+        # Equal distances in different cells: the ring walk meets the
+        # query's own cell first, then lower cell coordinates first.
+        index = GridIndex.from_columns(
+            [300.0, 200.0, 575.0, 175.0],
+            [100.0, 100.0, 125.0, 125.0],
+            ["own-cell", "west-cell", "east", "west"],
+            cell_size=250.0,
+        )
+        queries = ([250.0, 375.0], [100.0, 125.0])
+        assert [hit[1] for hit in index.nearest_many(*queries, 250.0)] == [
+            index.nearest(x, y, 250.0)[1] for x, y in zip(*queries)
+        ] == ["own-cell", "own-cell"]
+        far = GridIndex.from_columns(
+            [575.0, 175.0], [125.0, 125.0], ["east", "west"], cell_size=250.0
+        )
+        assert far.nearest_many([375.0], [125.0], 250.0)[0][1] == "west"
+        assert far.nearest(375.0, 125.0, 250.0)[1] == "west"
+
+    def test_radius_boundary_and_empty(self):
+        index = GridIndex.from_columns([150.0], [0.0], ["edge"], cell_size=250.0)
+        assert index.nearest_many([0.0, -1e-9], [0.0, 0.0], 150.0) == [
+            (150.0, "edge"),
+            None,
+        ]
+        assert index.nearest_many([], [], 150.0) == []
+        empty = GridIndex.from_columns([], [], [], cell_size=250.0)
+        assert empty.nearest_many([0.0], [0.0], 150.0) == [None]
+        with pytest.raises(ValueError):
+            index.nearest_many([0.0], [0.0], -1.0)

@@ -17,6 +17,15 @@ class TestPoiCategory:
         with pytest.raises(ValueError):
             PoiCategory.from_label("Bowling")
 
+    def test_from_label_unknown_message(self):
+        with pytest.raises(ValueError) as err:
+            PoiCategory.from_label("Bowling")
+        assert str(err.value) == "unknown POI category label: 'Bowling'"
+
+    def test_from_label_every_category(self):
+        for category in PoiCategory:
+            assert PoiCategory.from_label(category.value) is category
+
 
 class TestCheckinType:
     def test_honest_not_extraneous(self):

@@ -104,72 +104,6 @@ class TestAmbientContext:
         assert current() is NULL_OBS
 
 
-class TestThreadLocalOverride:
-    """``thread_activate``: per-thread contexts over the global ambient.
-
-    The pipelined segment scheduler gives every lane thread its own
-    context; the override must shadow the global one on that thread
-    only, restore cleanly (including when nested), and never leak into
-    other threads.
-    """
-
-    def test_overrides_global_on_this_thread(self):
-        from repro.obs import thread_activate
-
-        global_ctx, lane_ctx = ObsContext(), ObsContext()
-        with activate(global_ctx):
-            with thread_activate(lane_ctx):
-                assert current() is lane_ctx
-            assert current() is global_ctx
-
-    def test_other_threads_keep_the_global_context(self):
-        import threading
-
-        from repro.obs import thread_activate
-
-        global_ctx, lane_ctx = ObsContext(), ObsContext()
-        seen = {}
-
-        def other():
-            seen["ctx"] = current()
-
-        with activate(global_ctx), thread_activate(lane_ctx):
-            thread = threading.Thread(target=other)
-            thread.start()
-            thread.join()
-        assert seen["ctx"] is global_ctx
-
-    def test_nested_overrides_restore(self):
-        from repro.obs import thread_activate
-
-        a, b = ObsContext(), ObsContext()
-        with thread_activate(a):
-            with thread_activate(b):
-                assert current() is b
-            assert current() is a
-        assert current() is NULL_OBS
-
-    def test_counts_land_on_the_thread_context(self):
-        import threading
-
-        from repro.obs import thread_activate
-
-        global_ctx = ObsContext()
-        lane_ctx = ObsContext()
-
-        def lane():
-            with thread_activate(lane_ctx):
-                current().count("lane.only", 1)
-
-        with activate(global_ctx):
-            thread = threading.Thread(target=lane)
-            thread.start()
-            thread.join()
-            current().count("global.only", 1)
-        assert lane_ctx.metrics.snapshot()["counters"] == {"lane.only": 1}
-        assert global_ctx.metrics.snapshot()["counters"] == {"global.only": 1}
-
-
 class TestNullObs:
     def test_all_calls_are_noops(self):
         with NULL_OBS.span("anything", x=1) as span:

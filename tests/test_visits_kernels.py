@@ -1,11 +1,15 @@
 """Production stay-point kernel vs the scalar oracle: bit-level parity.
 
-The columnar kernel must reproduce the scalar reference loop
+The lockstep-lane kernel must reproduce the scalar reference loop
 (``oracles.extract_visits_scalar``) *exactly* — same visit ids, same
-float64 centroids, same timestamps — for any trace.  The property test
-throws randomised traces with recording gaps, jitter and dwell-threshold
-edge cases at both; the golden tests anchor parity to the committed
-fixture through the full pipeline at several worker counts.
+float64 centroids, same timestamps, same POI annotation — for any trace
+and any block of users.  The property tests throw randomised traces
+with recording gaps, jitter and dwell-threshold edge cases at both, one
+user at a time and many users per block; the annotation tests pin the
+radius boundary and tie rule of the one batched POI query against the
+oracle's per-visit ``GridIndex.nearest``; the golden tests anchor parity
+to the committed fixture through the full pipeline at several worker
+counts.
 """
 
 from __future__ import annotations
@@ -18,8 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from helpers import make_poi
 from oracles import extract_visits_scalar
 from repro.core import VisitConfig, build_poi_index, extract_visits, validate
+from repro.core import visits as visits_module
 from repro.io import load_dataset
 from repro.model import GpsPoint, GpsTrace
 
@@ -125,6 +133,101 @@ def test_window_growth_covers_long_stays():
     scalar, vector = both_kernels(trace)
     assert len(scalar) == 1
     assert_identical(scalar, vector)
+
+
+@st.composite
+def user_blocks(draw):
+    """A shard's worth of users plus POIs around their traces.
+
+    Users are the randomised traces above (empty and one-sample traces
+    included), some with a stay longer than the first scan window; the
+    block size is drawn small so lanes cross block boundaries.  POIs sit
+    on and near stay centres, one of them duplicated.
+    """
+    users = []
+    for u in range(draw(st.integers(0, 9))):
+        points = draw(traces())
+        if draw(st.booleans()):
+            # A stay of 65..200 per-minute samples: window growth.
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            t0 = points[-1].t + 60.0 if points else 0.0
+            n = draw(st.integers(65, 200))
+            points = points + [
+                GpsPoint(
+                    t=t0 + k * MIN,
+                    x=float(rng.normal(0, 10)),
+                    y=float(rng.normal(0, 10)),
+                )
+                for k in range(n)
+            ]
+        users.append((f"u{u}", points))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xy = rng.normal(0.0, 400.0, size=(draw(st.integers(0, 12)), 2))
+    pois = [make_poi(f"p{k}", float(x), float(y)) for k, (x, y) in enumerate(xy)]
+    if pois:
+        pois.append(make_poi("dup", pois[0].x, pois[0].y))
+    block = draw(st.sampled_from([1, 2, 3, visits_module._BLOCK_USERS]))
+    # 1: every round takes the matrix window step, even a lone lane.
+    matrix_lanes = draw(st.sampled_from([1, visits_module._MATRIX_LANES]))
+    return users, pois, block, matrix_lanes
+
+
+@given(user_blocks())
+@settings(max_examples=60, deadline=None)
+def test_block_kernel_matches_oracle_per_user(case):
+    """Production's shard worker (users in lockstep blocks, one POI
+    query per block) equals the oracle run one user at a time, with
+    either window step."""
+    users, pois, block, matrix_lanes = case
+    config = VisitConfig()
+    payload = (config, pois, [(uid, GpsTrace.coerce(pts)) for uid, pts in users])
+    with mock.patch.object(visits_module, "_BLOCK_USERS", block), mock.patch.object(
+        visits_module, "_MATRIX_LANES", matrix_lanes
+    ):
+        got = visits_module._extract_shard(payload)
+    poi_index = build_poi_index(pois)
+    assert list(got) == [uid for uid, _ in users]
+    for uid, pts in users:
+        assert_identical(extract_visits_scalar(pts, uid, config, poi_index), got[uid])
+
+
+@given(traces(), st.integers(0, 99_999))
+@settings(max_examples=40, deadline=None)
+def test_one_user_call_continues_the_counter(points, start_counter):
+    pois = [make_poi("p0", 0.0, 0.0), make_poi("p1", 120.0, -40.0)]
+    poi_index = build_poi_index(pois)
+    assert_identical(
+        extract_visits_scalar(points, "u0", None, poi_index, start_counter),
+        extract_visits(points, "u0", None, poi_index, start_counter),
+    )
+
+
+def stay_at_origin(minutes=20):
+    """A stay whose centroid is exactly (0, 0)."""
+    return [GpsPoint(t=k * MIN, x=0.0, y=0.0) for k in range(minutes)]
+
+
+@pytest.mark.parametrize(
+    "pois, expected",
+    [
+        # Exactly at the annotation radius: inside (<=).
+        ([make_poi("edge", 150.0, 0.0)], "edge"),
+        # One nanometre-scale step beyond it: outside.
+        ([make_poi("beyond", 150.0 + 1e-9, 0.0)], None),
+        # Identical coordinates: the first inserted wins, as with nearest.
+        ([make_poi("first", 30.0, 40.0), make_poi("second", 30.0, 40.0)], "first"),
+        # The nearer of two wins whatever the insertion order.
+        ([make_poi("far", 0.0, 100.0), make_poi("near", 0.0, -60.0)], "near"),
+    ],
+)
+def test_annotation_edges_match_nearest(pois, expected):
+    config = VisitConfig()
+    poi_index = build_poi_index(pois)
+    [visit] = extract_visits(stay_at_origin(), "u0", config, poi_index)
+    [oracle] = extract_visits_scalar(stay_at_origin(), "u0", config, poi_index)
+    assert (visit.x, visit.y) == (0.0, 0.0)
+    assert visit.poi_id == oracle.poi_id == expected
+    assert visit == oracle
 
 
 def scalar_visits(dataset):
