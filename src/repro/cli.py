@@ -647,6 +647,22 @@ def _dataset_error(exc: Exception) -> int:
     return 2
 
 
+def _stream_error(args: argparse.Namespace, exc: Exception) -> int:
+    """One line on stderr for a captured event stream the service
+    refuses; exit 2.  A replayed dataset was checked when it loaded, so
+    an error while serving it is a fault of the program and propagates.
+
+    ``read_events`` names the file and line of a bad record; the
+    service names the user of an event it cannot take (unregistered,
+    or later than the lateness bound).
+    """
+    if not args.events:
+        raise exc
+    detail = exc.args[0] if isinstance(exc, KeyError) else exc
+    print(f"cannot serve events: {detail}", file=sys.stderr)
+    return 2
+
+
 def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
     """``validate --store disk``: stream the study through a segment store.
 
@@ -834,7 +850,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # One registration per user, then every GPS fix and checkin.
             total_events = stats.n_users + stats.n_gps_points + stats.n_checkins
         if args.dump_events:
-            events = list(events)
+            try:
+                events = list(events)
+            except ValueError as exc:
+                return _stream_error(args, exc)
             total_events = len(events)
             print(f"wrote events: {write_events(args.dump_events, events)}")
 
@@ -882,13 +901,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     return err
             skip = service.restore() if args.resume else 0
             fed = 0
-            for i, event in enumerate(events):
-                if i < skip:
-                    continue
-                service.ingest(event)
-                fed += 1
-                if prog is not None:
-                    prog.update()
+            try:
+                for i, event in enumerate(events):
+                    if i < skip:
+                        continue
+                    service.ingest(event)
+                    fed += 1
+                    if prog is not None:
+                        prog.update()
+            except (KeyError, ValueError) as exc:
+                return _stream_error(args, exc)
             summary = service.finish()
             finished = True
         finally:

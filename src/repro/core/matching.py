@@ -200,9 +200,10 @@ def match_user(
 
     ``obs`` overrides the ambient observation context (pass
     :data:`repro.obs.NULL_OBS` to silence instrumentation explicitly —
-    the streaming engine does, because its worker threads must not touch
-    the process-global context).  ``stats``, when given, receives the
-    call's round count and per-round tie-loser totals.
+    the streaming engine does: it counts each chunk's results in per-user
+    dicts and folds them into its context once, at finish, in batch
+    order).  ``stats``, when given, receives the call's round count and
+    per-round tie-loser totals.
     """
     config = config or MatchConfig()
     if user_id is None:

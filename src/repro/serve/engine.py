@@ -167,29 +167,31 @@ class StreamEngine:
         """Feed one gps/checkin event; returns newly settled verdicts."""
         if state.finalized:
             raise RuntimeError(f"user {state.user_id} is already finalized")
-        t = event.t
-        if event.kind == "gps":
-            state.pending_gps.append((t, event.x, event.y))
+        kind, _, t, x, y, checkin = event
+        if kind == "gps":
+            state.pending_gps.append((t, x, y))
             state.n_gps += 1
-        elif event.kind == "checkin":
-            state.pending_checkins.append(event.checkin)
+        elif kind == "checkin":
+            state.pending_checkins.append(checkin)
             state.n_checkins += 1
         else:
-            raise ValueError(f"engine cannot ingest {event.kind!r} events")
-        if t > state.max_seen_t:
-            if state.pending_count() > 1 and t - state.max_seen_t > self.horizon_s:
+            raise ValueError(f"engine cannot ingest {kind!r} events")
+        max_seen_t = state.max_seen_t
+        if t > max_seen_t:
+            # The cheap gap test first: most in-order fixes open none.
+            if t - max_seen_t > self.horizon_s and state.pending_count() > 1:
                 # The in-order arrival just opened a gap: everything at
                 # or before the previous high-water mark settles once
                 # the watermark clears it.
-                state.gate_t = min(state.gate_t, state.max_seen_t + self.horizon_s)
-            state.max_seen_t = t
-        elif state.max_seen_t - t > self.config.allowed_lateness_s:
+                state.gate_t = min(state.gate_t, max_seen_t + self.horizon_s)
+            state.max_seen_t = max_seen_t = t
+        elif max_seen_t - t > self.config.allowed_lateness_s:
             raise ValueError(
                 f"event for {state.user_id} at t={t} arrived "
-                f"{state.max_seen_t - t:.0f}s late "
+                f"{max_seen_t - t:.0f}s late "
                 f"(allowed_lateness_s={self.config.allowed_lateness_s})"
             )
-        watermark = state.max_seen_t - self.config.allowed_lateness_s
+        watermark = max_seen_t - self.config.allowed_lateness_s
         if watermark > state.gate_t:
             return self._settle(state, watermark)
         return []

@@ -16,10 +16,10 @@ overlap is byte-identical (see ``tests/test_runtime_faults.py``).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Union
 
 from ..model import Checkin, CheckinType, PoiCategory
 
@@ -27,8 +27,16 @@ from ..model import Checkin, CheckinType, PoiCategory
 EVENT_KINDS = ("register", "gps", "checkin")
 
 
-@dataclass(frozen=True)
-class StreamEvent:
+class _EventFields(NamedTuple):
+    kind: str
+    user_id: str
+    t: Optional[float]
+    x: float
+    y: float
+    checkin: Optional[Checkin]
+
+
+class StreamEvent(_EventFields):
     """One input record of the serving session.
 
     ``register`` announces a user (must precede their first trace
@@ -36,36 +44,41 @@ class StreamEvent:
     full :class:`repro.model.Checkin`.  ``t`` is the *event* time (the
     fix or checkin timestamp), ``None`` for registrations.  A trace
     event whose time or position is NaN or infinite is rejected.
+
+    An immutable named tuple: a stream is mostly GPS fixes, and a tuple
+    is several times cheaper to build than a frozen dataclass.
     """
 
-    kind: str
-    user_id: str
-    t: Optional[float] = None
-    x: float = 0.0
-    y: float = 0.0
-    checkin: Optional[Checkin] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
+    def __new__(
+        cls,
+        kind: str,
+        user_id: str,
+        t: Optional[float] = None,
+        x: float = 0.0,
+        y: float = 0.0,
+        checkin: Optional[Checkin] = None,
+    ) -> "StreamEvent":
+        if kind not in EVENT_KINDS:
             raise ValueError(
-                f"unknown event kind {self.kind!r}; expected one of {EVENT_KINDS}"
+                f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}"
             )
-        if self.kind != "register" and self.t is None:
-            raise ValueError(f"{self.kind} event needs a timestamp")
-        if self.kind == "checkin" and self.checkin is None:
-            raise ValueError("checkin event needs a checkin record")
-        if self.kind != "register":
-            where = self if self.kind == "gps" else self.checkin
-            if not (
-                math.isfinite(self.t)
-                and math.isfinite(where.x)
-                and math.isfinite(where.y)
-            ):
-                raise ValueError(
-                    f"{self.kind} event for user {self.user_id!r} has a "
-                    f"non-finite field (t={self.t!r}, x={where.x!r}, "
-                    f"y={where.y!r})"
-                )
+        if kind != "register":
+            if t is None:
+                raise ValueError(f"{kind} event needs a timestamp")
+            if kind == "gps":
+                _check_finite(kind, user_id, t, x, y)
+            elif checkin is None:
+                raise ValueError("checkin event needs a checkin record")
+            else:
+                _check_finite(kind, user_id, t, checkin.x, checkin.y)
+        return _new_event(cls, (kind, user_id, t, x, y, checkin))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "StreamEvent":
+        # Route ``_make``/``_replace`` through the checks above.
+        return cls(*iterable)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe record (inverse of :func:`event_from_dict`)."""
@@ -87,6 +100,20 @@ class StreamEvent:
         return out
 
 
+#: Builds an event from its six fields without re-running the checks.
+_new_event = tuple.__new__
+
+
+def _check_finite(kind: str, user_id: str, t: float, x: float, y: float) -> None:
+    """The one finite-value check of every trace event, whichever way it
+    is built."""
+    if not (isfinite(t) and isfinite(x) and isfinite(y)):
+        raise ValueError(
+            f"{kind} event for user {user_id!r} has a non-finite field "
+            f"(t={t!r}, x={x!r}, y={y!r})"
+        )
+
+
 def register_event(user_id: str) -> StreamEvent:
     """A registration event for ``user_id``."""
     return StreamEvent(kind="register", user_id=user_id)
@@ -105,32 +132,41 @@ def checkin_event(checkin: Checkin) -> StreamEvent:
 
 
 def event_from_dict(data: Dict[str, Any]) -> StreamEvent:
-    """Parse one :meth:`StreamEvent.as_dict` record."""
-    kind = data["kind"]
-    user_id = data["user_id"]
-    if kind == "gps":
-        # The hot path: most of a stream is fixes.
-        return StreamEvent(
-            kind="gps",
+    """Parse one :meth:`StreamEvent.as_dict` record.
+
+    A record that lacks a field raises :class:`ValueError`; a GPS fix
+    without ``t`` gets the constructor's own error.
+    """
+    try:
+        kind = data["kind"]
+        user_id = data["user_id"]
+        if kind == "gps":
+            # The hot path: most of a stream is fixes.  The constructor's
+            # gps checks, without its per-kind dispatch.
+            t = float(data["t"])
+            x = float(data["x"])
+            y = float(data["y"])
+            _check_finite(kind, user_id, t, x, y)
+            return _new_event(StreamEvent, (kind, user_id, t, x, y, None))
+        if kind != "checkin":
+            # A registration, or the constructor's unknown-kind error.
+            return StreamEvent(kind, user_id)
+        raw = data["checkin"]
+        intent = raw.get("intent")
+        checkin = Checkin(
+            checkin_id=raw["checkin_id"],
             user_id=user_id,
-            t=float(data["t"]),
-            x=float(data["x"]),
-            y=float(data["y"]),
+            poi_id=raw["poi_id"],
+            x=float(raw["x"]),
+            y=float(raw["y"]),
+            t=float(raw["t"]),
+            category=PoiCategory(raw["category"]),
+            intent=None if intent is None else CheckinType(intent),
         )
-    if kind == "register":
-        return register_event(user_id)
-    raw = data["checkin"]
-    intent = raw.get("intent")
-    checkin = Checkin(
-        checkin_id=raw["checkin_id"],
-        user_id=user_id,
-        poi_id=raw["poi_id"],
-        x=float(raw["x"]),
-        y=float(raw["y"]),
-        t=float(raw["t"]),
-        category=PoiCategory(raw["category"]),
-        intent=None if intent is None else CheckinType(intent),
-    )
+    except KeyError as exc:
+        if exc.args[0] == "t" and data.get("kind") == "gps":
+            return StreamEvent("gps", data["user_id"])
+        raise ValueError(f"event record has no {exc.args[0]!r} field") from None
     return checkin_event(checkin)
 
 
@@ -144,13 +180,38 @@ def write_events(path: Union[str, Path], events: Iterable[StreamEvent]) -> Path:
     return path
 
 
+#: The parse ``json.loads`` runs, without its argument checks and its two
+#: whitespace scans: together a third of decoding one fix's line.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_events(path: Union[str, Path]) -> Iterator[StreamEvent]:
-    """Iterate a JSONL event stream written by :func:`write_events`."""
+    """Iterate a JSONL event stream written by :func:`write_events`.
+
+    Lazy: every good event is yielded before a bad line raises a
+    :class:`ValueError` that names ``path:lineno``.  Blank lines are
+    skipped, and each other line must hold one JSON value, whitespace
+    around it allowed.
+    """
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield event_from_dict(json.loads(line))
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                try:
+                    data, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = 0
+                if line[end:].strip():
+                    # Not one JSON value from the first character to the
+                    # line end: ``loads`` gives its value or its error.
+                    data = json.loads(line.strip())
+                elif not end:
+                    continue
+                event = event_from_dict(data)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield event
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,9 @@ class ValidationService:
                 ) from None
             tel = self._telemetry
             if tel is None:
-                self._emit(self._engine.ingest(state, event))
+                verdicts = self._engine.ingest(state, event)
+                if verdicts:
+                    self._emit(verdicts)
             else:
                 # The pending-count delta around the engine call is this
                 # event's exact contribution to the settlement backlog:

@@ -439,3 +439,52 @@ class TestMalformedDataset:
         assert line.startswith("cannot load dataset:")
         assert "checkins.jsonl" in line
         assert repr(user_id) in line
+
+
+class TestMalformedEvents:
+    """A captured event stream the service refuses exits 2 with one
+    line, no traceback: the bad line's ``path:lineno``, or the user."""
+
+    @pytest.fixture(scope="class")
+    def stream_lines(self, tmp_path_factory):
+        """The golden fixture's replayed stream, one JSON line per event."""
+        from repro.io import load_dataset
+        from repro.serve import write_events
+        from repro.synth import replay_events
+
+        path = tmp_path_factory.mktemp("events") / "events.jsonl"
+        write_events(path, replay_events(load_dataset(GOLDEN_DIR)))
+        return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    @pytest.mark.parametrize("case, expected", [
+        ("nan-fix", "non-finite"),
+        ("fix-without-t", "gps event needs a timestamp"),
+        ("truncated-json", "invalid JSON"),
+        ("unregistered-user", "user 'ghost' not registered"),
+    ], ids=["nan-fix", "fix-without-t", "truncated-json", "unregistered-user"])
+    def test_bad_stream_exits_2(self, stream_lines, tmp_path, capsys, case,
+                                expected):
+        lines = list(stream_lines)
+        n = next(i for i, line in enumerate(lines) if '"gps"' in line)
+        record = json.loads(lines[n])
+        if case == "nan-fix":
+            record["x"] = float("nan")
+        elif case == "fix-without-t":
+            del record["t"]
+        elif case == "unregistered-user":
+            record["user_id"] = "ghost"
+        lines[n] = json.dumps(record) + "\n"
+        if case == "truncated-json":
+            lines[n] = lines[n][: len(lines[n]) // 2] + "\n"
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+
+        argv = ["serve", "--data", str(GOLDEN_DIR), "--events", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("cannot serve events:")
+        assert expected in line
+        if case != "unregistered-user":
+            assert f"{path}:{n + 1}:" in line
