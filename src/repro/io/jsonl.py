@@ -13,9 +13,11 @@ app would export, and friendly to streaming tools:
 
 Round-tripping is exact for every field, including the synthetic
 ground-truth ``intent`` label on checkins.  Both loaders reject a
-non-finite coordinate or timestamp (``NaN``/``Infinity`` tokens or
-``"nan"``/``"inf"`` strings) with a ``ValueError`` naming the file and
-the user or POI, before it can reach a kernel.
+non-finite coordinate or timestamp (``NaN``/``Infinity`` tokens) and a
+coordinate or timestamp that is not a JSON number (a string such as
+``"60"``, ``true``, ``null``) with a ``ValueError`` naming the file and
+the user or POI, before it can reach a kernel.  JSON integers are taken
+as numbers.
 """
 
 from __future__ import annotations
@@ -62,6 +64,43 @@ def _read_jsonl(path: Path) -> Iterator[Dict[str, Any]]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
 
 
+def json_number(value: Any, name: str) -> float:
+    """A numeric field that did not decode as a float, as a float.
+
+    A JSON integer converts; anything else — a string that spells a
+    number, ``true``/``false``, ``null`` — raises ``ValueError`` naming
+    the field.  Callers test ``type(v) is not float`` first, so a float
+    field costs no call: ``if type(v) is not float: v = json_number(v, name)``.
+    """
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"field {name!r} is not a finite number") from None
+    raise ValueError(f"field {name!r} must be a number, got {value!r}")
+
+
+def _decode(path: Path, kind: str, decode, record: Dict[str, Any]):
+    """``decode(record)``; a decode error names the file and the owner."""
+    try:
+        return decode(record)
+    except ValueError as exc:
+        owner = (
+            f"POI {record.get('poi_id')!r}" if kind == "poi"
+            else f"user {record.get('user_id')!r}"
+        )
+        raise ValueError(f"{path}: {kind} record for {owner}: {exc}") from None
+
+
+def _numbers(record: Dict[str, Any], *names: str) -> List[float]:
+    """The named numeric fields of ``record``, checked by :func:`json_number`."""
+    return [
+        v if type(v) is float else json_number(v, name)
+        for name in names
+        for v in (record[name],)
+    ]
+
+
 def _non_finite(path: Path, kind: str, owner: str) -> ValueError:
     return ValueError(
         f"{path}: {kind} record for {owner} has a non-finite coordinate or time"
@@ -73,8 +112,21 @@ def _require_finite(path: Path, kind: str, owner: str, *values: float) -> None:
         raise _non_finite(path, kind, owner)
 
 
-def _gps_block(path: Path, user_id: str, t, x, y) -> np.ndarray:
-    """Freeze one user's run of GPS columns into a ``(3, n)`` float64 block."""
+def _gps_block(path: Path, user_id: str, t: list, x: list, y: list) -> np.ndarray:
+    """Freeze one user's run of GPS columns into a ``(3, n)`` float64 block.
+
+    The loaders collect the records' raw JSON values, so the type check
+    runs here, a column at a time: integers convert, anything else is
+    refused naming the file and the user.
+    """
+    if not {*map(type, t), *map(type, x), *map(type, y)} <= {float}:
+        try:
+            t, x, y = (
+                [v if type(v) is float else json_number(v, name) for v in column]
+                for name, column in (("t", t), ("x", x), ("y", y))
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: gps record for user {user_id!r}: {exc}") from None
     block = np.array([t, x, y], dtype=np.float64)
     if not np.isfinite(block).all():
         raise _non_finite(path, "gps", f"user {user_id!r}")
@@ -83,14 +135,15 @@ def _gps_block(path: Path, user_id: str, t, x, y) -> np.ndarray:
 
 def _read_pois(path: Path) -> Dict[str, Poi]:
     pois: Dict[str, Poi] = {}
-    for poi in map(decode_poi, _read_jsonl(path)):
+    for record in _read_jsonl(path):
+        poi = _decode(path, "poi", decode_poi, record)
         _require_finite(path, "poi", f"POI {poi.poi_id!r}", poi.x, poi.y)
         pois[poi.poi_id] = poi
     return pois
 
 
 def _read_checkin(path: Path, record: Dict[str, Any]) -> Checkin:
-    checkin = decode_checkin(record)
+    checkin = _decode(path, "checkin", decode_checkin, record)
     _require_finite(
         path, "checkin", f"user {checkin.user_id!r}", checkin.x, checkin.y, checkin.t
     )
@@ -110,12 +163,13 @@ def encode_poi(poi: Poi) -> Dict[str, Any]:
 
 def decode_poi(record: Dict[str, Any]) -> Poi:
     """JSON dict → POI record."""
+    x, y = _numbers(record, "x", "y")
     return Poi(
         poi_id=record["poi_id"],
         name=record["name"],
         category=PoiCategory.from_label(record["category"]),
-        x=float(record["x"]),
-        y=float(record["y"]),
+        x=x,
+        y=y,
     )
 
 
@@ -160,13 +214,14 @@ def encode_checkin(checkin: Checkin) -> Dict[str, Any]:
 def decode_checkin(record: Dict[str, Any]) -> Checkin:
     """JSON dict → checkin."""
     intent = record.get("intent")
+    x, y, t = _numbers(record, "x", "y", "t")
     return Checkin(
         checkin_id=record["checkin_id"],
         user_id=record["user_id"],
         poi_id=record["poi_id"],
-        x=float(record["x"]),
-        y=float(record["y"]),
-        t=float(record["t"]),
+        x=x,
+        y=y,
+        t=t,
         category=PoiCategory.from_label(record["category"]),
         intent=None if intent is None else CheckinType(intent),
     )
@@ -187,13 +242,14 @@ def encode_visit(visit: Visit) -> Dict[str, Any]:
 
 def decode_visit(record: Dict[str, Any]) -> Visit:
     """JSON dict → visit."""
+    x, y, t_start, t_end = _numbers(record, "x", "y", "t_start", "t_end")
     return Visit(
         visit_id=record["visit_id"],
         user_id=record["user_id"],
-        x=float(record["x"]),
-        y=float(record["y"]),
-        t_start=float(record["t_start"]),
-        t_end=float(record["t_end"]),
+        x=x,
+        y=y,
+        t_start=t_start,
+        t_end=t_end,
         poi_id=record.get("poi_id"),
     )
 
@@ -269,9 +325,9 @@ def load_dataset(directory: Path | str) -> Dataset:
                 )
             run_user = user_id
             run_t, run_x, run_y = [], [], []
-        run_t.append(float(record["t"]))
-        run_x.append(float(record["x"]))
-        run_y.append(float(record["y"]))
+        run_t.append(record["t"])
+        run_x.append(record["x"])
+        run_y.append(record["y"])
     if run_user is not None:
         gps_runs.setdefault(run_user, []).append(
             _gps_block(gps_path, run_user, run_t, run_x, run_y)
@@ -291,7 +347,7 @@ def load_dataset(directory: Path | str) -> Dataset:
     if visits_path.exists():
         per_user: Dict[str, List[Visit]] = {user_id: [] for user_id in users}
         for record in _read_jsonl(visits_path):
-            visit = decode_visit(record)
+            visit = _decode(visits_path, "visit", decode_visit, record)
             user_of(record, "visit")
             _require_finite(
                 visits_path, "visit", f"user {visit.user_id!r}",
@@ -368,9 +424,9 @@ def iter_user_data(directory: Path | str) -> Iterator[UserData]:
         x: List[float] = []
         y: List[float] = []
         for sample in gps.take(profile.user_id):
-            t.append(float(sample["t"]))
-            x.append(float(sample["x"]))
-            y.append(float(sample["y"]))
+            t.append(sample["t"])
+            x.append(sample["x"])
+            y.append(sample["y"])
         yield UserData(
             profile=profile,
             gps=(

@@ -16,13 +16,17 @@ pass, in row blocks so memory stays bounded at any node count
 from one NumPy distance pass; and housekeeping/outbox draining only
 touch nodes with protocol state.
 
-Most receptions in a flood-heavy network are duplicate RREQs: a node
-that already holds the flood key ``(origin, rreq_id)`` drops the
-request after refreshing its 1-hop route to the sender, and usually
-that route is already fresh.  Delivery tests the key against the
-receiver's live duplicate memory before dispatch and, for a duplicate,
-applies only the route refresh (skipping it when the receiver already
-holds a usable 1-hop route) instead of calling ``receive``.
+Delivery dispatches the two common receptions without ``receive``.
+Most receptions in a flood-heavy network are RREQs: the engine applies
+the neighbour note (skipped when the receiver already holds a usable
+1-hop route to the sender), then drops a duplicate — a flood key in the
+receiver's live duplicate memory — on the spot and hands a first copy
+straight to ``_on_rreq``.  A data packet unicast in range is delivered
+or relayed in the loop itself: precursor add, hop count, both route
+lifetime refreshes and the outgoing unicast.  Only a packet with no
+usable onward route falls back to ``_on_data``, which keeps the drop
+and RERR logic.  The protocol's own receive chain stays on
+:class:`~repro.manet.aodv.AodvNode` for every other payload.
 
 Per-message delivery still walks the air in order, so per-node receive
 sequences — and therefore results — are byte-identical to a plain
@@ -42,7 +46,7 @@ from ..obs import current as obs_current
 from .aodv import AodvNode, Outgoing
 from .config import ManetConfig
 from .metrics import ManetResults, MetricsCollector
-from .packets import DataPacket, Rerr, Rrep, Rreq
+from .packets import DataPacket, Rreq
 
 #: Ticks of node positions interpolated per block.  Bounds the position
 #: buffer at ``2 * 8 * n_nodes * _POSITION_BLOCK_TICKS`` bytes (8 MB at
@@ -148,15 +152,19 @@ class Simulator:
         The in-order dispatch is what preserves parity: a node receiving
         from message *k* and then message *k + 1* sees the same sequence
         as under a per-message loop, so its outbox (and the next tick's
-        air) is identical.  The duplicate-RREQ test reads the receiver's
-        live ``_seen_rreqs`` at dispatch time, so a key first heard
-        earlier in the same tick, or dropped by expiry, is judged exactly
-        as ``receive`` would judge it.
+        air) is identical.  Every fast path below reads the receiver's
+        live state at dispatch time — its routing table, its
+        ``_seen_rreqs`` — so a route or flood key changed earlier in the
+        same tick is judged exactly as ``receive`` would judge it.
         """
         air, self._air = self._air, []
         if not air:
             return
         nodes = self.nodes
+        entries_of = self._entries_of
+        seen_of = self._seen_of
+        lifetime = now + self.config.active_route_timeout_s
+        data_delivered = self.metrics.data_delivered
         senders = [m.sender for m in air if m.to is None]
         hoods = iter(self._neighborhoods(xs, ys, senders) if senders else ())
         unicast = [m for m in air if m.to is not None]
@@ -174,26 +182,64 @@ class Simulator:
             payload = message.payload
             to = message.to
             if to is not None:
-                if next(in_range):
-                    nodes[to].receive(payload, sender, now)
-                    touched.add(to)
-                else:
+                if not next(in_range):
                     nodes[sender].on_unicast_failed(payload, to, now)
                     touched.add(sender)
+                    continue
+                touched.add(to)
+                if type(payload) is not DataPacket:
+                    nodes[to].receive(payload, sender, now)
+                    continue
+                # receive -> _on_data -> _forward_data, inlined for the
+                # common outcomes: the 1-hop route to the sender is
+                # already fresh, and the packet is delivered or relayed
+                # over a usable route.
+                entries = entries_of[to]
+                link = entries.get(sender)
+                if (
+                    link is None
+                    or link.hop_count > 1
+                    or not link.valid
+                    or link.expires_at <= now
+                ):
+                    nodes[to]._note_neighbor(sender, now)
+                dst = payload.dst
+                if dst == to:
+                    data_delivered(payload.flow_id, payload.hop_count)
+                    continue
+                route = entries.get(dst)
+                if route is None or not route.valid or route.expires_at <= now:
+                    # Drop + RERR (and the precursor add on an unusable
+                    # entry) stay in the handler.
+                    nodes[to]._on_data(payload, sender, now)
+                    continue
+                route.precursors.add(sender)
+                payload.hop_count += 1
+                if lifetime > route.expires_at:
+                    route.expires_at = lifetime
+                next_hop = route.next_hop
+                hop = entries.get(next_hop)
+                if hop is not None and hop.valid and lifetime > hop.expires_at:
+                    hop.expires_at = lifetime
+                nodes[to].outbox.append(Outgoing(to, next_hop, payload))
                 continue
             receivers = next(hoods)
-            if isinstance(payload, Rreq):
+            if type(payload) is Rreq:
+                # receive -> _on_rreq with the neighbour note inlined; a
+                # duplicate stops after the note, with no outbox change,
+                # and a node holding flood keys is already in the busy set.
                 key = payload.key()
                 for node_id in receivers:
-                    node = nodes[node_id]
-                    if key in node._seen_rreqs:
-                        # A duplicate: receive would only note the
-                        # sender.  No outbox change, and a node holding
-                        # flood keys is already in the busy set.
-                        if not node.table.has_link(sender, now):
-                            node._note_neighbor(sender, now)
-                    else:
-                        node.receive(payload, sender, now)
+                    link = entries_of[node_id].get(sender)
+                    if (
+                        link is None
+                        or link.hop_count > 1
+                        or not link.valid
+                        or link.expires_at <= now
+                    ):
+                        nodes[node_id]._note_neighbor(sender, now)
+                    if key not in seen_of[node_id]:
+                        nodes[node_id]._on_rreq(payload, sender, now)
                         touched.add(node_id)
             else:
                 for node_id in receivers:
@@ -209,16 +255,19 @@ class Simulator:
         the sorted walk visits exactly the nodes a full scan of all nodes
         would find non-empty, in the same order.
         """
-        metrics = self.metrics
+        count_control = self.metrics.count_control
         air = self._air
+        nodes = self.nodes
         for node_id in sorted(touched):
-            node = self.nodes[node_id]
+            node = nodes[node_id]
             if not node.outbox:
                 continue
-            for message in node.drain_outbox():
-                if isinstance(message.payload, (Rreq, Rrep, Rerr)):
-                    metrics.count_control(message.payload.pair_id)
-                air.append(message)
+            out = node.drain_outbox()
+            for message in out:
+                payload = message.payload
+                if type(payload) is not DataPacket:
+                    count_control(payload.pair_id)
+            air += out
 
     def _run_ticks(self) -> None:
         """The simulation's tick loop, every phase for every tick."""
@@ -226,6 +275,13 @@ class Simulator:
         n_nodes = config.n_nodes
         dt = config.dt_s
         nodes = self.nodes
+        # Per-node protocol state the delivery fast paths and the
+        # housekeeping test read directly.  Built here rather than in
+        # __init__ because a subclass may replace ``self.nodes``; none of
+        # these containers is ever rebound by a node.
+        self._entries_of = [node.table._entries for node in nodes]
+        self._seen_of = seen_of = [node._seen_rreqs for node in nodes]
+        pending_of = [node._pending for node in nodes]
         period_ticks = max(1, int(round(config.cbr_interval_s / dt)))
         # Flows bucketed by firing phase: tick t emits exactly the flows
         # with (t + flow_id) % period == 0 — i.e. those whose phase
@@ -233,9 +289,9 @@ class Simulator:
         schedule: List[List[Tuple[int, int, int]]] = [[] for _ in range(period_ticks)]
         for flow_id, (src, dst) in self.pairs.items():
             schedule[(-flow_id) % period_ticks].append((flow_id, src, dst))
-        flow_items = [(f, s, d) for f, (s, d) in self.pairs.items()]
+        flows = self.metrics.flows
+        flow_items = [(f, s, d, flows[f]) for f, (s, d) in self.pairs.items()]
         last_route = self._last_route
-        sample_route = self.metrics.sample_route
         # Nodes that may have housekeeping state (pending discoveries or
         # duplicate-RREQ memory).  Protocol state only appears through
         # engine-visible events — a receive, a failed unicast, or a
@@ -264,12 +320,11 @@ class Simulator:
             # (2)+(3) Batched delivery over the tick's air.
             self._deliver_vectorized(xs, ys, now, touched)
             # Housekeeping over nodes that may hold protocol state, in
-            # node-id order like a full scan.
+            # node-id order like a full scan (the test is ``has_work``).
             busy |= touched
             for node_id in sorted(busy):
-                node = nodes[node_id]
-                if node.has_work:
-                    node.tick(now)
+                if seen_of[node_id] or pending_of[node_id]:
+                    nodes[node_id].tick(now)
                     touched.add(node_id)
                 else:
                     busy.discard(node_id)
@@ -279,12 +334,16 @@ class Simulator:
                 touched.add(src)
                 busy.add(src)
             self._drain_touched(touched)
-            # (5) Route sampling: one pass over the prebuilt flow list.
-            for flow_id, src, dst in flow_items:
+            # (5) Route sampling: one pass over the prebuilt flow list,
+            # counting what ``MetricsCollector.sample_route`` counts.
+            for flow_id, src, dst, stats in flow_items:
                 route = nodes[src].has_route(dst, now)
-                changed = route != last_route[flow_id]
+                if route != last_route[flow_id]:
+                    stats.route_changes += 1
                 last_route[flow_id] = route
-                sample_route(flow_id, available=route is not None, changed=changed)
+                stats.availability_samples += 1
+                if route is not None:
+                    stats.availability_hits += 1
 
     # -- main loop ------------------------------------------------------------
 

@@ -4,16 +4,20 @@ Field names follow RFC 3561 vocabulary.  Every control packet carries an
 optional ``pair_id`` tying it to the traffic flow whose route need
 created it, so the routing-overhead metric (Figure 8c: route packets per
 data packet, per flow) can attribute flooding cost to flows.
+
+``Rreq`` and ``Rrep`` are immutable named tuples: a flood builds one
+forwarded copy per rebroadcast, and a tuple is several times cheaper to
+build than a frozen dataclass.  ``DataPacket`` stays mutable (relays
+bump its hop count in place) and ``Rerr`` is rare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Rreq:
+class Rreq(NamedTuple):
     """Route request, flooded hop by hop."""
 
     origin: int
@@ -31,20 +35,13 @@ class Rreq:
 
     def forwarded(self) -> "Rreq":
         """Copy for rebroadcast: one more hop, one less TTL."""
+        origin, origin_seq, rreq_id, dest, dest_seq, hop_count, ttl, pair_id = self
         return Rreq(
-            origin=self.origin,
-            origin_seq=self.origin_seq,
-            rreq_id=self.rreq_id,
-            dest=self.dest,
-            dest_seq=self.dest_seq,
-            hop_count=self.hop_count + 1,
-            ttl=self.ttl - 1,
-            pair_id=self.pair_id,
+            origin, origin_seq, rreq_id, dest, dest_seq, hop_count + 1, ttl - 1, pair_id
         )
 
 
-@dataclass(frozen=True)
-class Rrep:
+class Rrep(NamedTuple):
     """Route reply, unicast back along the reverse path."""
 
     #: The destination the route leads to.
@@ -57,13 +54,8 @@ class Rrep:
 
     def forwarded(self) -> "Rrep":
         """Copy for the next reverse-path hop."""
-        return Rrep(
-            dest=self.dest,
-            dest_seq=self.dest_seq,
-            origin=self.origin,
-            hop_count=self.hop_count + 1,
-            pair_id=self.pair_id,
-        )
+        dest, dest_seq, origin, hop_count, pair_id = self
+        return Rrep(dest, dest_seq, origin, hop_count + 1, pair_id)
 
 
 @dataclass(frozen=True)

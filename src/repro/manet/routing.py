@@ -54,8 +54,9 @@ class RoutingTable:
     def has_link(self, neighbor: int, now: float) -> bool:
         """True when a usable route of at most one hop to ``neighbor``
         exists: hearing the neighbour again would change nothing, since
-        its trivial 1-hop advert is neither fresher nor shorter.  On the
-        duplicate-RREQ path, so ``is_usable`` is inlined."""
+        its trivial 1-hop advert is neither fresher nor shorter.  Run on
+        every reception's neighbour note, so ``is_usable`` is inlined;
+        the engine's delivery fast paths inline this same test."""
         entry = self._entries.get(neighbor)
         return (
             entry is not None

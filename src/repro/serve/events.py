@@ -21,6 +21,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Union
 
+from ..io.jsonl import json_number
 from ..model import Checkin, CheckinType, PoiCategory
 
 #: Recognised stream event kinds.
@@ -134,8 +135,10 @@ def checkin_event(checkin: Checkin) -> StreamEvent:
 def event_from_dict(data: Dict[str, Any]) -> StreamEvent:
     """Parse one :meth:`StreamEvent.as_dict` record.
 
-    A record that lacks a field raises :class:`ValueError`; a GPS fix
-    without ``t`` gets the constructor's own error.
+    A record that lacks a field, or holds a coordinate or timestamp
+    that is not a JSON number (a JSON integer counts), raises
+    :class:`ValueError`; a GPS fix without ``t`` gets the constructor's
+    own error.
     """
     try:
         kind = data["kind"]
@@ -143,9 +146,15 @@ def event_from_dict(data: Dict[str, Any]) -> StreamEvent:
         if kind == "gps":
             # The hot path: most of a stream is fixes.  The constructor's
             # gps checks, without its per-kind dispatch.
-            t = float(data["t"])
-            x = float(data["x"])
-            y = float(data["y"])
+            t = data["t"]
+            x = data["x"]
+            y = data["y"]
+            if type(t) is not float:
+                t = json_number(t, "t")
+            if type(x) is not float:
+                x = json_number(x, "x")
+            if type(y) is not float:
+                y = json_number(y, "y")
             _check_finite(kind, user_id, t, x, y)
             return _new_event(StreamEvent, (kind, user_id, t, x, y, None))
         if kind != "checkin":
@@ -153,13 +162,22 @@ def event_from_dict(data: Dict[str, Any]) -> StreamEvent:
             return StreamEvent(kind, user_id)
         raw = data["checkin"]
         intent = raw.get("intent")
+        t = raw["t"]
+        x = raw["x"]
+        y = raw["y"]
+        if type(t) is not float:
+            t = json_number(t, "t")
+        if type(x) is not float:
+            x = json_number(x, "x")
+        if type(y) is not float:
+            y = json_number(y, "y")
         checkin = Checkin(
             checkin_id=raw["checkin_id"],
             user_id=user_id,
             poi_id=raw["poi_id"],
-            x=float(raw["x"]),
-            y=float(raw["y"]),
-            t=float(raw["t"]),
+            x=x,
+            y=y,
+            t=t,
             category=PoiCategory(raw["category"]),
             intent=None if intent is None else CheckinType(intent),
         )

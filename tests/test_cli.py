@@ -461,7 +461,9 @@ class TestMalformedEvents:
         ("fix-without-t", "gps event needs a timestamp"),
         ("truncated-json", "invalid JSON"),
         ("unregistered-user", "user 'ghost' not registered"),
-    ], ids=["nan-fix", "fix-without-t", "truncated-json", "unregistered-user"])
+        ("numeric-string-fix", "field 'x' must be a number, got ' 1e3 '"),
+    ], ids=["nan-fix", "fix-without-t", "truncated-json", "unregistered-user",
+            "numeric-string-fix"])
     def test_bad_stream_exits_2(self, stream_lines, tmp_path, capsys, case,
                                 expected):
         lines = list(stream_lines)
@@ -473,6 +475,8 @@ class TestMalformedEvents:
             del record["t"]
         elif case == "unregistered-user":
             record["user_id"] = "ghost"
+        elif case == "numeric-string-fix":
+            record["x"] = " 1e3 "
         lines[n] = json.dumps(record) + "\n"
         if case == "truncated-json":
             lines[n] = lines[n][: len(lines[n]) // 2] + "\n"

@@ -226,8 +226,14 @@ def test_load_dataset_bounds_gps_list_overhead(tmp_path):
 
 
 #: Non-finite values as JSONL exports carry them: quoted strings that
-#: ``float()`` parses, and the bare tokens Python's ``json`` accepts.
+#: ``float()`` would parse, and the bare tokens Python's ``json`` accepts.
+#: The loaders refuse a string as not a number before any finite check.
 NON_FINITE = ['"nan"', '"inf"', "NaN", "Infinity", "-Infinity"]
+
+
+def refusal(token):
+    """The text a loader's error gives for ``token``."""
+    return "must be a number" if token.startswith('"') else "non-finite"
 
 
 def poison(path, field, token):
@@ -251,7 +257,9 @@ def test_non_finite_values_rejected(tmp_path, dataset, loader, filename, field, 
 
     save_dataset(raw_dataset(dataset), tmp_path / "ds")
     poison(tmp_path / "ds" / filename, field, token)
-    with pytest.raises(ValueError, match=rf"{filename}: .*user 'u0'.*non-finite"):
+    with pytest.raises(
+        ValueError, match=rf"{filename}: .*user 'u0'.*{refusal(token)}"
+    ):
         if loader == "load_dataset":
             load_dataset(tmp_path / "ds")
         else:
@@ -273,3 +281,73 @@ def test_non_finite_poi_and_visit_rejected(tmp_path, dataset, token):
         load_dataset(tmp_path / "raw")
     with pytest.raises(ValueError, match=r"pois\.jsonl: .*POI 'p0'"):
         load_dataset_into_store(tmp_path / "raw", tmp_path / "store")
+
+
+#: One GPS fix as a JSON value of each wrong type, and of the integer
+#: type the loaders take as a number.
+NOT_NUMBERS = [
+    ("x", '" 1e3 "', "field 'x' must be a number, got ' 1e3 '"),
+    ("t", '"60"', "field 't' must be a number, got '60'"),
+    ("y", "true", "field 'y' must be a number, got True"),
+    ("x", "null", "field 'x' must be a number, got None"),
+]
+
+
+@pytest.mark.parametrize("field, token, message", NOT_NUMBERS,
+                         ids=["numeric-string-x", "numeric-string-t",
+                              "true-y", "null-x"])
+@pytest.mark.parametrize("loader", ["load_dataset", "iter_user_data"])
+def test_not_a_number_rejected(tmp_path, dataset, loader, field, token, message):
+    from repro.io import iter_user_data
+
+    save_dataset(raw_dataset(dataset), tmp_path / "ds")
+    poison(tmp_path / "ds" / "gps.jsonl", field, token)
+    with pytest.raises(ValueError) as excinfo:
+        if loader == "load_dataset":
+            load_dataset(tmp_path / "ds")
+        else:
+            list(iter_user_data(tmp_path / "ds"))
+    text = str(excinfo.value)
+    assert text.startswith(f"{tmp_path / 'ds' / 'gps.jsonl'}: gps record for user 'u0'")
+    assert text.endswith(message)
+
+
+@pytest.mark.parametrize("filename, field, owner", [
+    ("pois.jsonl", "x", "POI 'p0'"),
+    ("checkins.jsonl", "t", "user 'u0'"),
+    ("visits.jsonl", "t_end", "user 'u0'"),
+])
+def test_numeric_string_rejected_in_every_file(tmp_path, dataset, filename, field, owner):
+    save_dataset(dataset, tmp_path / "ds")
+    poison(tmp_path / "ds" / filename, field, '"60"')
+    with pytest.raises(ValueError) as excinfo:
+        load_dataset(tmp_path / "ds")
+    assert str(excinfo.value) == (
+        f"{tmp_path / 'ds' / filename}: {filename.split('s.')[0]} record for "
+        f"{owner}: field {field!r} must be a number, got '60'"
+    )
+
+
+def test_integer_fields_load_as_floats(tmp_path, dataset):
+    """A JSON integer is a number: ``"t": 60`` loads as ``60.0``."""
+    save_dataset(dataset, tmp_path / "ds")
+    for filename, fields in [
+        ("gps.jsonl", ("t", "x")),
+        ("checkins.jsonl", ("t", "y")),
+        ("pois.jsonl", ("x",)),
+        ("visits.jsonl", ("t_start",)),
+    ]:
+        path = tmp_path / "ds" / filename
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        for name in fields:
+            record[name] = 60
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+    loaded = load_dataset(tmp_path / "ds")
+    user = loaded.users["u0"]
+    assert user.gps.t[0] == 60.0 and user.gps.x[0] == 60.0
+    assert (user.checkins[0].t, user.checkins[0].y) == (60.0, 60.0)
+    assert type(user.checkins[0].t) is float
+    assert loaded.pois["p0"].x == 60.0 and type(loaded.pois["p0"].x) is float
+    assert user.visits[0].t_start == 60.0

@@ -21,6 +21,8 @@ from repro.geo import units
 from repro.levy import LevyWalkModel, generate_fleet
 from oracles import ScalarSimulator
 from repro.manet import (
+    AodvNode,
+    DataPacket,
     ManetConfig,
     Simulator,
     bench_config,
@@ -43,7 +45,7 @@ def toy_model(name: str = "toy") -> LevyWalkModel:
 
 
 def run_engine(config: ManetConfig, simulator: type):
-    """One full simulation; returns everything results depend on."""
+    """One full simulation; returns the finished simulator and results."""
     rng = np.random.default_rng(config.seed)
     traces = generate_fleet(
         toy_model(), config.n_nodes, config.arena_m, config.duration_s, rng
@@ -52,18 +54,39 @@ def run_engine(config: ManetConfig, simulator: type):
         config.n_nodes, config.n_pairs, np.random.default_rng(config.seed)
     )
     sim = simulator(config, traces, pairs=pairs)
-    results = sim.run()
-    return results, sim.metrics.total_control, sim.metrics.unattributed_control
+    return sim, sim.run()
+
+
+def node_state(node) -> tuple:
+    """Everything a node's future behaviour depends on, in a comparable
+    form: every routing-table row (precursors sorted), the duplicate-RREQ
+    memory with its stamps, the pending discoveries with their buffered
+    packets, and the node's sequence counters."""
+    rows = [
+        (e.dest, e.next_hop, e.hop_count, e.dest_seq, e.expires_at, e.valid,
+         sorted(e.precursors))
+        for e in node.table
+    ]
+    pending = [
+        (dest, p.pair_id, p.retries, p.expires_at, p.last_ttl,
+         [(pk.flow_id, pk.seq, pk.hop_count) for pk in p.packets])
+        for dest, p in node._pending.items()
+    ]
+    return rows, list(node._seen_rreqs.items()), pending, node.seq, node._rreq_id
 
 
 def assert_engines_identical(config: ManetConfig) -> None:
-    scalar, s_control, s_unattr = run_engine(config, ScalarSimulator)
-    vector, v_control, v_unattr = run_engine(config, Simulator)
+    scalar_sim, scalar = run_engine(config, ScalarSimulator)
+    vector_sim, vector = run_engine(config, Simulator)
     # Dataclass dict equality compares every counter exactly.
     assert [asdict(f) for f in vector.flows] == [asdict(f) for f in scalar.flows]
     assert vector.summary() == scalar.summary()
-    assert v_control == s_control
-    assert v_unattr == s_unattr
+    assert vector.total_control == scalar.total_control
+    assert vector.unattributed_control == scalar.unattributed_control
+    # Final protocol state of every node: a wrong refresh or precursor
+    # add can leave the flow counters of a short run untouched.
+    for v_node, s_node in zip(vector_sim.nodes, scalar_sim.nodes, strict=True):
+        assert node_state(v_node) == node_state(s_node), v_node.node_id
 
 
 def test_scaled_config_preserves_density():
@@ -158,3 +181,36 @@ def test_parity_large_n():
     """1000-node bench-density arena (shortened)."""
     config = replace(scaled_config(1000), duration_s=300.0)
     assert_engines_identical(config)
+
+
+def test_parity_exercises_the_fast_path_exits(monkeypatch):
+    """Nodes in the dense arena drift out of range under live flows, so
+    the production engine takes both exits of its data fast path while
+    parity holds: a relay with no usable onward route (``_on_data``'s
+    drop + RERR) and a data unicast whose next hop moved out of range.
+    (The sparse arena's 600 s runs at seeds 1 and 5 take neither.)"""
+    calls = {"relay_drop": 0, "relay_other": 0, "data_unicast_failed": 0}
+    on_data = AodvNode._on_data
+    on_unicast_failed = AodvNode.on_unicast_failed
+
+    def spy_on_data(self, packet, sender, now):
+        if type(self) is AodvNode:
+            dropped = (
+                packet.dst != self.node_id
+                and self.table.usable(packet.dst, now) is None
+            )
+            calls["relay_drop" if dropped else "relay_other"] += 1
+        return on_data(self, packet, sender, now)
+
+    def spy_on_unicast_failed(self, payload, next_hop, now):
+        if type(self) is AodvNode and isinstance(payload, DataPacket):
+            calls["data_unicast_failed"] += 1
+        return on_unicast_failed(self, payload, next_hop, now)
+
+    monkeypatch.setattr(AodvNode, "_on_data", spy_on_data)
+    monkeypatch.setattr(AodvNode, "on_unicast_failed", spy_on_unicast_failed)
+    assert_engines_identical(replace(bench_config(seed=1), duration_s=300.0))
+    assert calls["relay_drop"] >= 1
+    assert calls["data_unicast_failed"] >= 1
+    # Delivery and relays over a usable route never leave the fast path.
+    assert calls["relay_other"] == 0

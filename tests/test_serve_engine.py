@@ -312,26 +312,31 @@ class TestSnapshotStore:
 
 
 #: Trace events with a NaN or infinite field, in both JSON spellings: a
-#: quoted string that ``float()`` parses, and the bare token Python's
-#: ``json`` module accepts.
+#: quoted string that ``float()`` would parse, refused as not a number,
+#: and the bare token Python's ``json`` module accepts.
 NON_FINITE_LINES = [
-    '{"kind": "gps", "user_id": "u0", "t": "nan", "x": "inf", "y": 1}',
-    '{"kind": "gps", "user_id": "u0", "t": 60.0, "x": 1.0, "y": NaN}',
-    '{"kind": "gps", "user_id": "u0", "t": Infinity, "x": 1.0, "y": 2.0}',
-    '{"kind": "checkin", "user_id": "u0", "checkin": {"checkin_id": "c0", '
-    '"poi_id": "p0", "x": "-inf", "y": 0.0, "t": 60.0, "category": "Food"}}',
-    '{"kind": "checkin", "user_id": "u0", "checkin": {"checkin_id": "c0", '
-    '"poi_id": "p0", "x": 0.0, "y": 0.0, "t": NaN, "category": "Food"}}',
+    ('{"kind": "gps", "user_id": "u0", "t": "nan", "x": "inf", "y": 1}',
+     "field 't' must be a number, got 'nan'"),
+    ('{"kind": "gps", "user_id": "u0", "t": 60.0, "x": 1.0, "y": NaN}',
+     "non-finite"),
+    ('{"kind": "gps", "user_id": "u0", "t": Infinity, "x": 1.0, "y": 2.0}',
+     "non-finite"),
+    ('{"kind": "checkin", "user_id": "u0", "checkin": {"checkin_id": "c0", '
+     '"poi_id": "p0", "x": "-inf", "y": 0.0, "t": 60.0, "category": "Food"}}',
+     "field 'x' must be a number, got '-inf'"),
+    ('{"kind": "checkin", "user_id": "u0", "checkin": {"checkin_id": "c0", '
+     '"poi_id": "p0", "x": 0.0, "y": 0.0, "t": NaN, "category": "Food"}}',
+     "non-finite"),
 ]
 
 
 class TestEventDecoding:
     @pytest.mark.parametrize(
-        "line", NON_FINITE_LINES,
+        "line, message", NON_FINITE_LINES,
         ids=["gps-strings", "gps-y-nan", "gps-t-infinity", "checkin-x-string",
              "checkin-t-nan"],
     )
-    def test_non_finite_fields_rejected(self, tmp_path, line):
+    def test_non_finite_fields_rejected(self, tmp_path, line, message):
         path = tmp_path / "events.jsonl"
         path.write_text(
             '{"kind": "register", "user_id": "u0"}\n'
@@ -342,7 +347,7 @@ class TestEventDecoding:
         assert [e.kind for e in (next(events), next(events))] == [
             "register", "gps",
         ]
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=message):
             next(events)
 
 

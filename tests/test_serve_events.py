@@ -101,6 +101,45 @@ def test_gps_fast_path_matches_constructor(user, t, x, y, drop_t):
         assert repr(fast[1]) == repr(gps_event(user, t, x, y))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"t": "60", "x": " 1e3 ", "y": 1.0}, "field 't' must be a number, got '60'"),
+    ({"t": 60.0, "x": " 1e3 ", "y": 1.0}, "field 'x' must be a number, got ' 1e3 '"),
+    ({"t": 60.0, "x": True, "y": 1.0}, "field 'x' must be a number, got True"),
+    ({"t": 60.0, "x": 1.0, "y": None}, "field 'y' must be a number, got None"),
+    ({"t": 10**400, "x": 1.0, "y": 2.0}, "field 't' is not a finite number"),
+], ids=["numeric-string-fix", "numeric-string-x", "true-x", "null-y", "huge-int-t"])
+def test_not_a_number_refused(tmp_path, fields, message):
+    """Only a JSON number is a coordinate or a time: ``read_events`` names
+    the line and the field of anything else."""
+    fix = dict({"kind": "gps", "user_id": "u0"}, **fields)
+    checkin = {"kind": "checkin", "user_id": "u0", "checkin": dict(
+        {"checkin_id": "c0", "poi_id": "p0", "category": "Food"}, **fields)}
+    for record in (fix, checkin):
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            '{"kind": "register", "user_id": "u0"}\n' + json.dumps(record) + "\n"
+        )
+        events = read_events(path)
+        assert next(events).kind == "register"
+        with pytest.raises(ValueError) as excinfo:
+            next(events)
+        assert str(excinfo.value) == f"{path}:2: {message}"
+
+
+def test_integer_time_through_read_events(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text(
+        '{"kind": "gps", "user_id": "u0", "t": 60, "x": 1.5, "y": -2}\n'
+        '{"kind": "checkin", "user_id": "u0", "checkin": {"checkin_id": "c0", '
+        '"poi_id": "p0", "x": 0, "y": 0.5, "t": 120, "category": "Food"}}\n'
+    )
+    fix, checkin = read_events(path)
+    assert fix == gps_event("u0", 60.0, 1.5, -2.0)
+    assert [type(v) for v in (fix.t, fix.x, fix.y)] == [float] * 3
+    assert (checkin.t, checkin.checkin.x, checkin.checkin.t) == (120.0, 0.0, 120.0)
+    assert type(checkin.checkin.x) is float and type(checkin.t) is float
+
+
 def test_integer_fields_decode_as_floats():
     event = event_from_dict({"kind": "gps", "user_id": "u0", "t": 60, "x": 1, "y": -2})
     assert event == gps_event("u0", 60.0, 1.0, -2.0)
