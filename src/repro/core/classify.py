@@ -24,7 +24,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..geo import GridIndex, units
+import numpy as np
+
+from ..geo import units
 from ..model import (
     EXTRANEOUS_TYPES,
     Checkin,
@@ -43,7 +45,7 @@ from ..runtime import (
     shard_count,
     shard_dataset,
 )
-from .matching import MatchingResult
+from .matching import MatchingResult, candidate_pairs
 
 
 @dataclass(frozen=True)
@@ -199,9 +201,23 @@ def classify_extraneous_checkin(
     """Assign one extraneous checkin to the Section 5.1 taxonomy.
 
     ``candidates`` are the user's visits within ``alpha_m`` of the
-    checkin, as ``(distance, visit)`` pairs in any order (one row of
-    :meth:`GridIndex.within_many`, or a :meth:`GridIndex.within` call).
+    checkin, as ``(distance, visit)`` pairs in any order (for instance a
+    :meth:`GridIndex.within` call).  The shard path
+    (:func:`classify_user_extraneous`, :func:`_classify_shard`) builds no
+    candidate lists: one :func:`repro.core.matching.candidate_pairs`
+    pass settles the superfluous test of every checkin at once.
     """
+    superfluous = any(
+        visit.time_distance(checkin.t) <= config.beta_s for _, visit in candidates
+    )
+    return _taxonomy(checkin, locator, superfluous, config)
+
+
+def _taxonomy(
+    checkin: Checkin, locator: GpsLocator, superfluous: bool, config: ClassifyConfig
+) -> CheckinType:
+    """The Section 5.1 decision for one checkin, given whether any of
+    the user's visits lies within α metres and β seconds of it."""
     fix = locator.locate(checkin.t, config.max_fix_age_s)
     if fix is None:
         return CheckinType.OTHER
@@ -211,10 +227,51 @@ def classify_extraneous_checkin(
     speed = locator.speed(checkin.t, config.speed_window_s)
     if speed is not None and speed > config.driveby_speed_ms:
         return CheckinType.DRIVEBY
-    for _, visit in candidates:
-        if visit.time_distance(checkin.t) <= config.beta_s:
-            return CheckinType.SUPERFLUOUS
-    return CheckinType.OTHER
+    return CheckinType.SUPERFLUOUS if superfluous else CheckinType.OTHER
+
+
+def _classify_users(
+    users: Sequence[Tuple[Sequence[GpsPoint] | GpsTrace, Sequence[Visit], list]],
+    config: ClassifyConfig,
+) -> List[List[CheckinType]]:
+    """Label several users' extraneous checkins at once.
+
+    ``users`` holds ``(gps, visits, extraneous checkins)`` per user.  One
+    :func:`candidate_pairs` pass over every user's checkins and visits
+    settles the superfluous test ("some visit within α and β") for all
+    of them; the GPS position and speed lookups and the remote test
+    stay scalar, per checkin, on a locator built once per user.
+    """
+    checkins = [c for _, _, extraneous in users for c in extraneous]
+    if not checkins:
+        return [[] for _ in users]
+    n_checkins = [len(extraneous) for _, _, extraneous in users]
+    rows, _, _, _ = candidate_pairs(
+        checkins,
+        [v for _, visits, _ in users for v in visits],
+        n_checkins,
+        [len(visits) for _, visits, _ in users],
+        config.alpha_m,
+        config.beta_s,
+    )
+    superfluous = np.zeros(len(checkins), dtype=bool)
+    superfluous[rows] = True
+    flags = superfluous.tolist()
+    out: List[List[CheckinType]] = []
+    c0 = 0
+    for (gps, _, extraneous), n in zip(users, n_checkins):
+        if not n:
+            out.append([])
+            continue
+        locator = GpsLocator(gps)
+        out.append(
+            [
+                _taxonomy(checkin, locator, flag, config)
+                for checkin, flag in zip(extraneous, flags[c0 : c0 + n])
+            ]
+        )
+        c0 += n
+    return out
 
 
 def classify_user_extraneous(
@@ -225,28 +282,11 @@ def classify_user_extraneous(
 ) -> List[CheckinType]:
     """Label one user's extraneous checkins, in their given order.
 
-    The single per-user classification routine behind both the batch
-    shard worker and the streaming engine: build the GPS locator once,
-    gather every checkin's nearby visits in one batched radius query,
-    then run the Section 5.1 taxonomy per checkin.  Pure — no
+    The one-user case of the shard path (:func:`_classify_users`), and
+    the routine the streaming engine calls per chunk.  Pure — no
     observation, no shared state — so it is safe from any thread.
     """
-    if not extraneous:
-        return []
-    locator = GpsLocator(gps)
-    visit_index: GridIndex = GridIndex.from_columns(
-        [visit.x for visit in visits],
-        [visit.y for visit in visits],
-        visits,
-        cell_size=max(100.0, config.alpha_m),
-    )
-    candidate_lists = visit_index.within_many(
-        [c.x for c in extraneous], [c.y for c in extraneous], config.alpha_m
-    )
-    return [
-        classify_extraneous_checkin(checkin, locator, candidates, config)
-        for checkin, candidates in zip(extraneous, candidate_lists)
-    ]
+    return _classify_users([(gps, visits, extraneous)], config)[0]
 
 
 def _classify_shard(payload: Tuple) -> Dict[str, List[CheckinType]]:
@@ -256,21 +296,20 @@ def _classify_shard(payload: Tuple) -> Dict[str, List[CheckinType]]:
     ``(config, [(user_id, gps, visits, extraneous checkins), ...])``.
     Honest labels are implied by the matching result, so only the
     extraneous taxonomy crosses the process boundary: one label per
-    extraneous checkin, in the checkins' given order.
+    extraneous checkin, in the checkins' given order.  The whole shard
+    is labelled by one :func:`_classify_users` call and counted once.
     """
     config, users = payload
+    if not users:
+        return {}
+    labels = _classify_users([user[1:] for user in users], config)
     obs = obs_current()
-    out: Dict[str, List[CheckinType]] = {}
-    for user_id, gps, visits, extraneous in users:
-        labels = classify_user_extraneous(gps, visits, extraneous, config)
-        # Counter keeps first-appearance order, so counter keys are
-        # created in the same order as counting checkin by checkin.
-        for label, n in Counter(labels).items():
-            obs.count(f"classify.{label.value}_total", n)
-        obs.count("classify.users_total", 1)
-        obs.count("classify.extraneous_total", len(labels))
-        out[user_id] = labels
-    return out
+    every = [label for user_labels in labels for label in user_labels]
+    for label, n in Counter(every).items():
+        obs.count(f"classify.{label.value}_total", n)
+    obs.count("classify.users_total", len(users))
+    obs.count("classify.extraneous_total", len(every))
+    return {user[0]: user_labels for user, user_labels in zip(users, labels)}
 
 
 def classify_dataset(

@@ -16,9 +16,13 @@ still-unclaimed visits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..geo import GridIndex, euclidean, units
+import numpy as np
+
+from ..geo import euclidean, units
+from ..geo.grid import owner_pairs_within
 from ..model import Checkin, Dataset, Visit
 from ..obs import current as obs_current
 from ..runtime import (
@@ -162,30 +166,172 @@ class MatchingResult(RegionCounts):
         return sum(len(m.missing) for m in self.per_user.values())
 
 
-def _best_from_candidates(
-    checkin: Checkin,
-    candidates: Sequence[Tuple[float, Visit]],
-    config: MatchConfig,
-    exclude: Optional[set] = None,
-) -> Optional[Tuple[Visit, float]]:
-    """Step 2 for one checkin given its Step-1 candidate set.
+def _float_columns(items: Sequence, *names: str) -> List[np.ndarray]:
+    """The named attributes of ``items`` as float64 columns."""
+    return [
+        np.fromiter(map(attrgetter(name), items), dtype=np.float64, count=len(items))
+        for name in names
+    ]
 
-    Picks the temporally closest candidate within β (ties broken by
-    earlier ``t_start``); the choice is independent of candidate order,
-    so batched and per-query candidate gathering agree exactly.
+
+def candidate_pairs(
+    checkins: Sequence[Checkin],
+    visits: Sequence[Visit],
+    n_checkins: Sequence[int],
+    n_visits: Sequence[int],
+    alpha_m: float,
+    beta_s: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every same-user (checkin, visit) pair within α metres and β seconds.
+
+    ``checkins`` and ``visits`` are several users' lists laid end to
+    end, ``n_checkins[k]``/``n_visits[k]`` long for user ``k``.  Step 1
+    is one :func:`owner_pairs_within` pass at α; the time distance of
+    footnote 2 (:meth:`Visit.time_distance`: zero inside
+    ``[t_start, t_end]``, else the gap to the nearer endpoint) is then
+    computed for every pair at once and pairs beyond β are dropped.
+    Returns the checkin row, visit row, Δt and visit ``t_start`` of each
+    pair, ordered by checkin, then by visit.
     """
-    best: Optional[Tuple[Visit, float]] = None
-    for _, visit in candidates:
-        if exclude and visit.visit_id in exclude:
-            continue
-        dt = visit.time_distance(checkin.t)
-        if dt > config.beta_s:
-            continue
-        if best is None or dt < best[1] or (
-            dt == best[1] and visit.t_start < best[0].t_start
-        ):
-            best = (visit, dt)
-    return best
+    if not checkins or not visits:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, np.zeros(0), np.zeros(0)
+    cx, cy, ct = _float_columns(checkins, "x", "y", "t")
+    vx, vy, vs, ve = _float_columns(visits, "x", "y", "t_start", "t_end")
+    rows, hit, _ = owner_pairs_within(vx, vy, n_visits, cx, cy, n_checkins, alpha_m)
+    t, s, e = ct[rows], vs[hit], ve[hit]
+    # Visits have t_start <= t_end, so outside the visit the larger of
+    # s - t and t - e is exactly min(|t - s|, |t - e|); inside both are
+    # <= 0 and Δt is 0.
+    dt = np.maximum(np.maximum(s - t, t - e), 0.0)
+    keep = dt <= beta_s
+    return rows[keep], hit[keep], dt[keep], s[keep]
+
+
+def _match_users(
+    users: Sequence[Tuple[str, Sequence[Checkin], Sequence[Visit]]],
+    config: MatchConfig,
+) -> List[Tuple[UserMatching, MatchStats]]:
+    """Match several users at once: one candidate pass, then per-user claims.
+
+    Step 2 picks each checkin's temporally closest candidate within β,
+    ties going to the earlier ``t_start`` and then to the earlier visit
+    in the user's list: one ``lexsort`` ranks every checkin's candidates
+    in that order.  Claims only ever exclude visits, so a checkin's
+    ranked candidates serve every rematch round: its choice in a round
+    is its first candidate whose visit is still unclaimed.  A visit
+    claimed by several checkins goes to the geographically closest
+    (then the smaller ``checkin_id``), in plain Python per user.
+    """
+    checkins = [c for _, user_checkins, _ in users for c in user_checkins]
+    visits = [v for _, _, user_visits in users for v in user_visits]
+    n_checkins = [len(user_checkins) for _, user_checkins, _ in users]
+    rows, hit, dt, t_start = candidate_pairs(
+        checkins,
+        visits,
+        n_checkins,
+        [len(user_visits) for _, _, user_visits in users],
+        config.alpha_m,
+        config.beta_s,
+    )
+    order = np.lexsort((hit, t_start, dt, rows))
+    rows, hit = rows[order], hit[order]
+    # Candidates of checkin i, best first, are hit[bounds[i]:bounds[i + 1]].
+    bounds = np.searchsorted(rows, np.arange(len(checkins) + 1))
+    has = bounds[1:] > bounds[:-1]
+    best = np.full(len(checkins), -1, dtype=np.int64)
+    best[has] = hit[bounds[:-1][has]]
+    # Each checkin's choice while no visit is claimed: its best candidate.
+    chosen = best.tolist()
+    if config.rematch_losers:
+        cuts, ranked = bounds.tolist(), hit.tolist()
+    visit_ids = [v.visit_id for v in visits]
+
+    def claim_key(i: int) -> Tuple[float, str]:
+        """A contested claim's rank: distance to the visit, then id."""
+        checkin, visit = checkins[i], visits[chosen[i]]
+        return euclidean(checkin.x, checkin.y, visit.x, visit.y), checkin.checkin_id
+
+    out: List[Tuple[UserMatching, MatchStats]] = []
+    c0 = 0
+    for (user_id, user_checkins, user_visits), n in zip(users, n_checkins):
+        stats = MatchStats()
+        assigned: Dict[str, Tuple[Checkin, Visit]] = {}
+        losers: List[Checkin] = []
+        pending: Sequence[int] = range(c0, c0 + n)
+        c0 += n
+        while pending:
+            stats.rounds += 1
+            # visit_id -> its first claimant; contested visits also list
+            # every claimant, in claim order.
+            claimed: Dict[str, int] = {}
+            contested: Dict[str, List[int]] = {}
+            for i in pending:
+                if assigned:
+                    # A rematch round: the best still-unclaimed candidate.
+                    chosen[i] = -1
+                    for j in ranked[cuts[i] : cuts[i + 1]]:
+                        if visit_ids[j] not in assigned:
+                            chosen[i] = j
+                            break
+                j = chosen[i]
+                if j < 0:
+                    losers.append(checkins[i])
+                    continue
+                first = claimed.setdefault(visit_ids[j], i)
+                if first != i:
+                    contested.setdefault(visit_ids[j], [first]).append(i)
+            round_losers: List[int] = []
+            for visit_id, i in claimed.items():
+                if visit_id in contested:
+                    claims = sorted(contested[visit_id], key=claim_key)
+                    i = claims[0]
+                    round_losers.extend(claims[1:])
+                assigned[visit_id] = (checkins[i], visits[chosen[i]])
+            stats.tie_losers_per_round.append(len(round_losers))
+            if (
+                not config.rematch_losers
+                or not claimed
+                or stats.rounds >= config.max_rematch_rounds
+            ):
+                # Final round (single-round paper mode, nothing was
+                # claimed, or the round cap hit): every still-pending tie
+                # loser is extraneous — nothing may stay pending.
+                losers.extend(checkins[i] for i in round_losers)
+                break
+            pending = round_losers
+        matching = UserMatching(
+            user_id=user_id,
+            matches=sorted(assigned.values(), key=lambda pair: pair[0].t),
+            extraneous=sorted(losers, key=attrgetter("t")),
+            missing=sorted(
+                (v for v in user_visits if v.visit_id not in assigned),
+                key=attrgetter("t_start"),
+            ),
+        )
+        out.append((matching, stats))
+    return out
+
+
+def _count_matching(obs, outcomes: Sequence[Tuple[UserMatching, MatchStats]]) -> None:
+    """Fold several users' matching counters into ``obs`` at once.
+
+    The totals equal counting user by user.  ``tie_losers_total`` is
+    only touched when some user ran a round, as a per-round count would.
+    """
+    rounds = [stats.rounds for _, stats in outcomes]
+    if any(rounds):
+        obs.count(
+            "matching.tie_losers_total", sum(stats.tie_losers for _, stats in outcomes)
+        )
+    obs.count("matching.users_total", len(outcomes))
+    obs.count("matching.rounds_total", sum(rounds))
+    obs.count("matching.rematch_rounds", sum(max(0, r - 1) for r in rounds))
+    for r in rounds:
+        obs.observe("matching.rounds_per_user", r)
+    obs.count("matching.honest_total", sum(len(m.matches) for m, _ in outcomes))
+    obs.count("matching.extraneous_total", sum(len(m.extraneous) for m, _ in outcomes))
+    obs.count("matching.missing_total", sum(len(m.missing) for m, _ in outcomes))
 
 
 def match_user(
@@ -196,7 +342,7 @@ def match_user(
     obs=None,
     stats: Optional[MatchStats] = None,
 ) -> UserMatching:
-    """Run the matching algorithm for one user.
+    """Run the matching algorithm for one user: the one-user shard.
 
     ``obs`` overrides the ambient observation context (pass
     :data:`repro.obs.NULL_OBS` to silence instrumentation explicitly —
@@ -213,110 +359,31 @@ def match_user(
             user_id = visits[0].user_id
         else:
             user_id = "unknown"
-    index: GridIndex = GridIndex.from_columns(
-        [visit.x for visit in visits],
-        [visit.y for visit in visits],
-        visits,
-        cell_size=max(100.0, config.alpha_m),
-    )
-
-    if obs is None:
-        obs = obs_current()
-    assigned: Dict[str, Tuple[Checkin, Visit]] = {}
-    losers: List[Checkin] = []
-    pending = list(checkins)
-    rounds = 0
-    while pending:
-        rounds += 1
-        with obs.span(
-            "matching.round", user=user_id, round=rounds, pending=len(pending)
-        ) as round_span:
-            # Step 1, batched: one vectorised radius query for every
-            # pending checkin at once (claims only change between
-            # rounds, so the candidate sets for a round are fixed).
-            candidate_lists = index.within_many(
-                [c.x for c in pending], [c.y for c in pending], config.alpha_m
-            )
-            exclude = set(assigned) if config.rematch_losers else None
-            # Tentative claims this round: visit_id -> list of (checkin, geo distance).
-            claims: Dict[str, List[Tuple[float, Checkin, Visit]]] = {}
-            unmatched: List[Checkin] = []
-            for checkin, candidates in zip(pending, candidate_lists):
-                if config.rematch_losers:
-                    # Later rounds re-compete only for still-free visits.
-                    best = _best_from_candidates(checkin, candidates, config, exclude)
-                else:
-                    # Paper behaviour: a single Step-2 choice per checkin.
-                    best = _best_from_candidates(checkin, candidates, config)
-                    if best is not None and best[0].visit_id in assigned:
-                        best = None
-                if best is None:
-                    unmatched.append(checkin)
-                    continue
-                visit = best[0]
-                geo = euclidean(checkin.x, checkin.y, visit.x, visit.y)
-                claims.setdefault(visit.visit_id, []).append((geo, checkin, visit))
-            round_losers: List[Checkin] = []
-            for contenders in claims.values():
-                contenders.sort(key=lambda item: (item[0], item[1].checkin_id))
-                _, winner, visit = contenders[0]
-                assigned[visit.visit_id] = (winner, visit)
-                round_losers.extend(c for _, c, _ in contenders[1:])
-            round_span.annotate(
-                claims=len(claims),
-                tie_losers=len(round_losers),
-                unmatched=len(unmatched),
-            )
-            obs.count("matching.tie_losers_total", len(round_losers))
-        if stats is not None:
-            stats.tie_losers_per_round.append(len(round_losers))
-        # Checkins with no candidate this round are settled either way.
-        losers.extend(unmatched)
-        if (
-            not config.rematch_losers
-            or not claims
-            or rounds >= config.max_rematch_rounds
-        ):
-            # Final round (single-round paper mode, nothing was claimed,
-            # or the round cap hit): every still-pending tie loser is
-            # extraneous — nothing may stay pending past this point.
-            losers.extend(round_losers)
-            break
-        # Claimed visits are excluded via `exclude` (built from `assigned`), so the
-        # next round only considers still-free visits.
-        pending = round_losers
-
+    outcome = _match_users([(user_id, checkins, visits)], config)
+    obs = obs_current() if obs is None else obs
+    if obs.enabled:
+        _count_matching(obs, outcome)
+    matching, user_stats = outcome[0]
     if stats is not None:
-        stats.rounds = rounds
-    obs.count("matching.users_total", 1)
-    obs.count("matching.rounds_total", rounds)
-    obs.count("matching.rematch_rounds", max(0, rounds - 1))
-    obs.observe("matching.rounds_per_user", rounds)
-    obs.count("matching.honest_total", len(assigned))
-    obs.count("matching.extraneous_total", len(losers))
-    matched_visit_ids = set(assigned)
-    matches = sorted(assigned.values(), key=lambda pair: pair[0].t)
-    missing = [v for v in visits if v.visit_id not in matched_visit_ids]
-    obs.count("matching.missing_total", len(missing))
-    return UserMatching(
-        user_id=user_id,
-        matches=matches,
-        extraneous=sorted(losers, key=lambda c: c.t),
-        missing=sorted(missing, key=lambda v: v.t_start),
-    )
+        stats.rounds = user_stats.rounds
+        stats.tie_losers_per_round.extend(user_stats.tie_losers_per_round)
+    return matching
 
 
 def _match_shard(payload: Tuple) -> Dict[str, UserMatching]:
-    """Executor work unit: run :func:`match_user` for one shard of users.
+    """Executor work unit: match one shard of users at once.
 
     Top-level (picklable) so process-pool executors can ship it; the
-    payload is ``(config, [(user_id, checkins, visits), ...])``.
+    payload is ``(config, [(user_id, checkins, visits), ...])``.  One
+    candidate pass covers the whole shard (:func:`_match_users`) and
+    the shard's counters are folded in once.
     """
     config, users = payload
-    return {
-        user_id: match_user(checkins, visits, config, user_id=user_id)
-        for user_id, checkins, visits in users
-    }
+    if not users:
+        return {}
+    outcomes = _match_users(users, config)
+    _count_matching(obs_current(), outcomes)
+    return {matching.user_id: matching for matching, _ in outcomes}
 
 
 def match_dataset(

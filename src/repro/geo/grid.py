@@ -15,6 +15,10 @@ points at once.  A batch of at most :data:`_BLOCK_ELEMENTS` (query,
 point) pairs is one distance pass, :func:`pairs_within`, which the
 MANET engine also runs directly on node coordinates for a tick's
 broadcasts; a larger batch tests only each query's x-strip of points.
+When queries and points both belong to owners (a shard's users), and
+only same-owner pairs count, :func:`owner_pairs_within` runs that test
+over every owner at once with no index at all: matching and
+classification call it once per shard.
 
 Either representation can come first.  :meth:`GridIndex.from_columns`
 bulk-loads coordinate arrays straight into the columnar snapshot (no
@@ -59,6 +63,89 @@ def pairs_within(
         d2 = (px - bx) ** 2 + (py - by) ** 2
         rows, hit = np.nonzero(d2 <= r2)
         found.append((rows + lo, hit, d2[rows, hit]))
+    if len(found) == 1:
+        return found[0]
+    rows, hit, d2 = zip(*found)
+    return np.concatenate(rows), np.concatenate(hit), np.concatenate(d2)
+
+
+def owner_pairs_within(
+    px: np.ndarray,
+    py: np.ndarray,
+    p_counts: Sequence[int],
+    qx: np.ndarray,
+    qy: np.ndarray,
+    q_counts: Sequence[int],
+    radius: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every same-owner (query, point) pair within ``radius``.
+
+    Points and queries come grouped by owner: owner ``k`` holds the next
+    ``p_counts[k]`` points and the next ``q_counts[k]`` queries.  Each
+    query is tested against its own owner's points only, by
+    :func:`pairs_within`'s arithmetic on the unshifted coordinates, so
+    the squared distances are the same bits.  Every same-owner pair is
+    tested, so an owner costs its queries x points; query rows are
+    walked in runs of at most :data:`_BLOCK_ELEMENTS` pairs, so memory
+    stays bounded.  Returns the query index, point index and squared
+    distance of each hit, ordered by query, then by point.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius!r}")
+    if len(q_counts) != len(p_counts):
+        raise ValueError("point and query counts must cover the same owners")
+    if sum(q_counts) != qx.size or sum(p_counts) != px.size:
+        raise ValueError("owner counts must add up to the point and query columns")
+    if qx.size == 0 or px.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0)
+    # Array methods rather than np.* wrappers: the streaming engine
+    # calls this once per one-user chunk, where call overhead dominates.
+    q_counts = np.asarray(q_counts, dtype=np.int64)
+    p_counts = np.asarray(p_counts, dtype=np.int64)
+    owner = np.arange(q_counts.size).repeat(q_counts)
+    first = (p_counts.cumsum() - p_counts)[owner]
+    return _ranged_pairs(px, py, qx, qy, first, p_counts[owner], radius)
+
+
+def _ranged_pairs(
+    px: np.ndarray,
+    py: np.ndarray,
+    qx: np.ndarray,
+    qy: np.ndarray,
+    lo: np.ndarray,
+    counts: np.ndarray,
+    radius: float,
+    order: "np.ndarray | None" = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hits of query ``q`` among points ``lo[q] .. lo[q] + counts[q] - 1``.
+
+    Positions index ``order`` when it is given (points in another
+    order), else the points themselves.  Each pair is tested with
+    :func:`pairs_within`'s arithmetic.  Query rows are walked in runs
+    of at most :data:`_BLOCK_ELEMENTS` pairs (a query with more is a
+    run of its own), so the temporaries stay bounded.  Returns the
+    query index, point index and squared distance of each hit, ordered
+    by query, then by position.
+    """
+    r2 = radius * radius
+    ends = counts.cumsum()
+    found = []
+    qa = 0
+    while qa < qx.size:
+        done = int(ends[qa - 1]) if qa else 0
+        qb = max(qa + 1, int(ends.searchsorted(done + _BLOCK_ELEMENTS, "right")))
+        n = counts[qa:qb]
+        rows = np.arange(qa, qb).repeat(n)
+        # Pair k of this run is position lo[q] + (k - start of q's pairs).
+        starts = ends[qa:qb] - n - done
+        idx = np.arange(rows.size) + (lo[qa:qb] - starts).repeat(n)
+        if order is not None:
+            idx = order[idx]
+        d2 = (px[idx] - qx[rows]) ** 2 + (py[idx] - qy[rows]) ** 2
+        keep = d2 <= r2
+        found.append((rows[keep], idx[keep], d2[keep]))
+        qa = qb
     if len(found) == 1:
         return found[0]
     rows, hit, d2 = zip(*found)
@@ -302,40 +389,21 @@ class GridIndex(Generic[T]):
         A small batch is one :func:`pairs_within` pass over every
         (query, point) pair.  A larger one tests only the points in each
         query's x-strip ``[qx - radius, qx + radius]``, found by binary
-        search on the x-sorted rows, a block of queries at a time so the
-        candidate arrays stay near :data:`_BLOCK_ELEMENTS`.  Both paths
-        compute the same squared distances with the same arithmetic, so
-        they agree exactly.
+        search on the x-sorted rows, in runs of at most
+        :data:`_BLOCK_ELEMENTS` candidates (:func:`_ranged_pairs`).  Both
+        paths compute the same squared distances with the same
+        arithmetic, so they agree exactly.
         """
         cols = self._ensure_columns()
         if qx.size * self._count <= _BLOCK_ELEMENTS:
             return pairs_within(cols.x, cols.y, qx, qy, radius)
         order, sx = cols.by_x
         # The strip only preselects: widen it past any rounding in
-        # ``qx +- radius`` so the exact test below sees every hit.
+        # ``qx +- radius`` so the exact test sees every hit.
         pad = radius + 1e-9 * (radius + np.abs(qx))
         lo = np.searchsorted(sx, qx - pad, side="left")
         counts = np.searchsorted(sx, qx + pad, side="right") - lo
-        ends = np.cumsum(counts)
-        cuts = np.searchsorted(
-            ends, np.arange(_BLOCK_ELEMENTS, int(ends[-1]), _BLOCK_ELEMENTS)
-        )
-        bounds = sorted({0, qx.size, *cuts.tolist()})
-        r2 = radius * radius
-        found = []
-        for qa, qb in zip(bounds, bounds[1:]):
-            n = counts[qa:qb]
-            rows = np.repeat(np.arange(qa, qb), n)
-            # Row k of this block is strip position lo[q] + (k - first[q]).
-            first = ends[qa:qb] - n - (ends[qa] - counts[qa])
-            idx = order[np.arange(rows.size) + np.repeat(lo[qa:qb] - first, n)]
-            d2 = (cols.x[idx] - qx[rows]) ** 2 + (cols.y[idx] - qy[rows]) ** 2
-            keep = d2 <= r2
-            found.append((rows[keep], idx[keep], d2[keep]))
-        if len(found) == 1:
-            return found[0]
-        rows, hit, d2 = zip(*found)
-        return np.concatenate(rows), np.concatenate(hit), np.concatenate(d2)
+        return _ranged_pairs(cols.x, cols.y, qx, qy, lo, counts, radius, order)
 
     def _ensure_columns(self) -> "_Columns[T]":
         """The columnar snapshot, rebuilt if writes invalidated it."""

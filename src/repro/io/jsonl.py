@@ -184,14 +184,30 @@ def encode_profile(profile: UserProfile) -> Dict[str, Any]:
     }
 
 
+def _json_count(record: Dict[str, Any], name: str) -> int:
+    """A count field: a JSON integer, and not ``true``/``false``."""
+    value = record[name]
+    if type(value) is not int:
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def decode_profile(record: Dict[str, Any]) -> UserProfile:
-    """JSON dict → user profile."""
+    """JSON dict → user profile.
+
+    ``friends``, ``badges`` and ``mayorships`` must be JSON integers and
+    ``study_days`` a finite JSON number; anything else raises
+    ``ValueError`` naming the field.
+    """
+    (study_days,) = _numbers(record, "study_days")
+    if not math.isfinite(study_days):
+        raise ValueError("field 'study_days' is not a finite number")
     return UserProfile(
         user_id=record["user_id"],
-        friends=int(record["friends"]),
-        badges=int(record["badges"]),
-        mayorships=int(record["mayorships"]),
-        study_days=float(record["study_days"]),
+        friends=_json_count(record, "friends"),
+        badges=_json_count(record, "badges"),
+        mayorships=_json_count(record, "mayorships"),
+        study_days=study_days,
     )
 
 
@@ -294,8 +310,9 @@ def load_dataset(directory: Path | str) -> Dataset:
     meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
     pois = _read_pois(directory / "pois.jsonl")
     users: Dict[str, UserData] = {}
-    for record in _read_jsonl(directory / "profiles.jsonl"):
-        profile = decode_profile(record)
+    profiles = directory / "profiles.jsonl"
+    for record in _read_jsonl(profiles):
+        profile = _decode(profiles, "profile", decode_profile, record)
         users[profile.user_id] = UserData(profile=profile)
 
     def user_of(record: Dict[str, Any], kind: str) -> UserData:
@@ -418,8 +435,9 @@ def iter_user_data(directory: Path | str) -> Iterator[UserData]:
         )
     gps = _GroupedReader(directory / "gps.jsonl", "gps")
     checkins = _GroupedReader(directory / "checkins.jsonl", "checkin")
-    for record in _read_jsonl(directory / "profiles.jsonl"):
-        profile = decode_profile(record)
+    profiles = directory / "profiles.jsonl"
+    for record in _read_jsonl(profiles):
+        profile = _decode(profiles, "profile", decode_profile, record)
         t: List[float] = []
         x: List[float] = []
         y: List[float] = []

@@ -6,7 +6,7 @@ reference to it; instead it asks for the ambient context::
     from repro.obs import current
 
     ctx = current()
-    with ctx.span("matching.round", round=3):
+    with ctx.span("stage.match", shards=4):
         ...
     ctx.count("matching.rematch_rounds", 1)
 

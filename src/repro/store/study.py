@@ -426,19 +426,29 @@ class StudyStore:
             entry = self.segments[entry]
         reader = SegmentReader(self.directory / entry.gps_file)
         users: Dict[str, UserData] = {}
-        with (self.directory / entry.users_file).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                profile = decode_profile(record["profile"])
-                users[profile.user_id] = UserData(
-                    profile=profile,
-                    gps=reader.trace(profile.user_id),
-                    checkins=[decode_checkin(c) for c in record["checkins"]],
-                )
-        reader.close()
+        users_path = self.directory / entry.users_file
+        try:
+            with users_path.open("r", encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    record = json.loads(line)
+                    try:
+                        profile = decode_profile(record["profile"])
+                        checkins = [decode_checkin(c) for c in record["checkins"]]
+                    except ValueError as exc:
+                        owner = record["profile"].get("user_id")
+                        raise StoreFormatError(
+                            f"{users_path}: record for user {owner!r}: {exc}"
+                        ) from None
+                    users[profile.user_id] = UserData(
+                        profile=profile,
+                        gps=reader.trace(profile.user_id),
+                        checkins=checkins,
+                    )
+        finally:
+            reader.close()
         if tuple(users) != entry.user_ids:
             raise StoreFormatError(
                 f"segment {entry.segment_id}: sidecar users disagree with manifest"

@@ -2,10 +2,13 @@
 
 Production has one implementation per stage — the lockstep-lane
 stay-point kernel in :mod:`repro.core.visits`, with its batched POI
-annotation, and the batched MANET tick loop in :mod:`repro.manet.engine`.
-The plain per-point / per-visit / per-node loops they were derived from
-live here, where the parity suites compare production against them byte
-for byte (``test_visits_kernels.py``, ``test_manet_engines.py``).  The
+annotation, the shard-at-once matcher and classifier in
+:mod:`repro.core.matching` and :mod:`repro.core.classify`, and the
+batched MANET tick loop in :mod:`repro.manet.engine`.  The plain
+per-point / per-user / per-node loops they were derived from live here,
+where the parity suites compare production against them byte for byte
+(``test_visits_kernels.py``, ``test_core_block_kernels.py``,
+``test_manet_engines.py``).  The
 MANET oracle also runs its own node hot paths
 (:class:`ReferenceAodvNode`), so the shortcuts production takes inside
 :class:`repro.manet.AodvNode` are checked too.  Each oracle is the most
@@ -14,16 +17,24 @@ direct reading of the algorithm; none of it is tuned.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.classify import (
+    ClassifyConfig,
+    GpsLocator,
+    classify_extraneous_checkin,
+)
+from repro.core.matching import MatchConfig, MatchStats, UserMatching
 from repro.core.visits import VisitConfig
-from repro.geo import GridIndex
+from repro.geo import GridIndex, euclidean
 from repro.manet import AodvNode, Simulator
 from repro.manet.aodv import Payload
 from repro.manet.packets import DataPacket, Rerr, Rrep, Rreq
-from repro.model import GpsPoint, GpsTrace, Visit
+from repro.model import Checkin, CheckinType, GpsPoint, GpsTrace, Visit
+from repro.obs import current as obs_current
 
 
 def extract_visits_scalar(
@@ -114,6 +125,181 @@ def _extract_visits_scalar(
         else:
             i += 1
     return visits
+
+
+def _best_from_candidates(
+    checkin: Checkin,
+    candidates: Sequence[Tuple[float, Visit]],
+    config: MatchConfig,
+    exclude: Optional[set] = None,
+) -> Optional[Tuple[Visit, float]]:
+    """Step 2 for one checkin given its Step-1 candidate set.
+
+    Picks the temporally closest candidate within β (ties broken by
+    earlier ``t_start``).
+    """
+    best: Optional[Tuple[Visit, float]] = None
+    for _, visit in candidates:
+        if exclude and visit.visit_id in exclude:
+            continue
+        dt = visit.time_distance(checkin.t)
+        if dt > config.beta_s:
+            continue
+        if best is None or dt < best[1] or (
+            dt == best[1] and visit.t_start < best[0].t_start
+        ):
+            best = (visit, dt)
+    return best
+
+
+def match_user_reference(
+    checkins: Sequence[Checkin],
+    visits: Sequence[Visit],
+    config: Optional[MatchConfig] = None,
+    user_id: Optional[str] = None,
+    obs=None,
+    stats: Optional[MatchStats] = None,
+) -> UserMatching:
+    """Oracle for :func:`repro.core.match_user` (same signature).
+
+    One user at a time: a grid index over the user's visits, one radius
+    query per round for the pending checkins, then a scan of each
+    checkin's candidates for the temporally closest within β, with every
+    counter bumped per user and per round.
+    """
+    config = config or MatchConfig()
+    if user_id is None:
+        if checkins:
+            user_id = checkins[0].user_id
+        elif visits:
+            user_id = visits[0].user_id
+        else:
+            user_id = "unknown"
+    index: GridIndex = GridIndex.from_columns(
+        [visit.x for visit in visits],
+        [visit.y for visit in visits],
+        visits,
+        cell_size=max(100.0, config.alpha_m),
+    )
+    if obs is None:
+        obs = obs_current()
+    assigned: Dict[str, Tuple[Checkin, Visit]] = {}
+    losers: List[Checkin] = []
+    pending = list(checkins)
+    rounds = 0
+    while pending:
+        rounds += 1
+        candidate_lists = index.within_many(
+            [c.x for c in pending], [c.y for c in pending], config.alpha_m
+        )
+        exclude = set(assigned) if config.rematch_losers else None
+        claims: Dict[str, List[Tuple[float, Checkin, Visit]]] = {}
+        unmatched: List[Checkin] = []
+        for checkin, candidates in zip(pending, candidate_lists):
+            if config.rematch_losers:
+                best = _best_from_candidates(checkin, candidates, config, exclude)
+            else:
+                best = _best_from_candidates(checkin, candidates, config)
+                if best is not None and best[0].visit_id in assigned:
+                    best = None
+            if best is None:
+                unmatched.append(checkin)
+                continue
+            visit = best[0]
+            geo = euclidean(checkin.x, checkin.y, visit.x, visit.y)
+            claims.setdefault(visit.visit_id, []).append((geo, checkin, visit))
+        round_losers: List[Checkin] = []
+        for contenders in claims.values():
+            contenders.sort(key=lambda item: (item[0], item[1].checkin_id))
+            _, winner, visit = contenders[0]
+            assigned[visit.visit_id] = (winner, visit)
+            round_losers.extend(c for _, c, _ in contenders[1:])
+        obs.count("matching.tie_losers_total", len(round_losers))
+        if stats is not None:
+            stats.tie_losers_per_round.append(len(round_losers))
+        losers.extend(unmatched)
+        if (
+            not config.rematch_losers
+            or not claims
+            or rounds >= config.max_rematch_rounds
+        ):
+            losers.extend(round_losers)
+            break
+        pending = round_losers
+
+    if stats is not None:
+        stats.rounds = rounds
+    obs.count("matching.users_total", 1)
+    obs.count("matching.rounds_total", rounds)
+    obs.count("matching.rematch_rounds", max(0, rounds - 1))
+    obs.observe("matching.rounds_per_user", rounds)
+    obs.count("matching.honest_total", len(assigned))
+    obs.count("matching.extraneous_total", len(losers))
+    matched_visit_ids = set(assigned)
+    matches = sorted(assigned.values(), key=lambda pair: pair[0].t)
+    missing = [v for v in visits if v.visit_id not in matched_visit_ids]
+    obs.count("matching.missing_total", len(missing))
+    return UserMatching(
+        user_id=user_id,
+        matches=matches,
+        extraneous=sorted(losers, key=lambda c: c.t),
+        missing=sorted(missing, key=lambda v: v.t_start),
+    )
+
+
+def classify_user_extraneous_reference(
+    gps: Sequence[GpsPoint] | GpsTrace,
+    visits: Sequence[Visit],
+    extraneous: Sequence[Checkin],
+    config: ClassifyConfig,
+) -> List[CheckinType]:
+    """Oracle for :func:`repro.core.classify_user_extraneous`.
+
+    One user at a time: a grid index over the user's visits and one
+    batched radius query, then :func:`classify_extraneous_checkin` per
+    checkin on its candidate list.
+    """
+    if not extraneous:
+        return []
+    locator = GpsLocator(gps)
+    visit_index: GridIndex = GridIndex.from_columns(
+        [visit.x for visit in visits],
+        [visit.y for visit in visits],
+        visits,
+        cell_size=max(100.0, config.alpha_m),
+    )
+    candidate_lists = visit_index.within_many(
+        [c.x for c in extraneous], [c.y for c in extraneous], config.alpha_m
+    )
+    return [
+        classify_extraneous_checkin(checkin, locator, candidates, config)
+        for checkin, candidates in zip(extraneous, candidate_lists)
+    ]
+
+
+def match_shard_reference(payload: Tuple) -> Dict[str, UserMatching]:
+    """Oracle for the match stage's shard work unit: one user at a time."""
+    config, users = payload
+    return {
+        user_id: match_user_reference(checkins, visits, config, user_id=user_id)
+        for user_id, checkins, visits in users
+    }
+
+
+def classify_shard_reference(payload: Tuple) -> Dict[str, List[CheckinType]]:
+    """Oracle for the classify stage's shard work unit: one user at a
+    time, its counters bumped per user."""
+    config, users = payload
+    obs = obs_current()
+    out: Dict[str, List[CheckinType]] = {}
+    for user_id, gps, visits, extraneous in users:
+        labels = classify_user_extraneous_reference(gps, visits, extraneous, config)
+        for label, n in Counter(labels).items():
+            obs.count(f"classify.{label.value}_total", n)
+        obs.count("classify.users_total", 1)
+        obs.count("classify.extraneous_total", len(labels))
+        out[user_id] = labels
+    return out
 
 
 class ReferenceAodvNode(AodvNode):

@@ -171,9 +171,9 @@ def test_config_defaults_match_paper():
 
 
 def test_batched_candidates_match_per_checkin_within():
-    """``classify_user_extraneous`` gathers every checkin's nearby visits
-    with one ``within_many`` call; the labels equal one ``within`` query
-    per checkin, user by user, on the golden fixture."""
+    """``classify_user_extraneous`` settles every checkin's superfluous
+    test with one same-user pair pass; the labels equal one ``within``
+    query per checkin, user by user, on the golden fixture."""
     from pathlib import Path
 
     from repro.core import classify_user_extraneous, validate

@@ -351,3 +351,82 @@ def test_integer_fields_load_as_floats(tmp_path, dataset):
     assert type(user.checkins[0].t) is float
     assert loaded.pois["p0"].x == 60.0 and type(loaded.pois["p0"].x) is float
     assert user.visits[0].t_start == 60.0
+
+
+#: A profile field as a JSON value of a type the loaders refuse: counts
+#: must be JSON integers (``true`` is not one), ``study_days`` a finite
+#: JSON number.
+BAD_PROFILES = [
+    ("friends", '"3"', "field 'friends' must be an integer, got '3'"),
+    ("badges", "2.7", "field 'badges' must be an integer, got 2.7"),
+    ("mayorships", "true", "field 'mayorships' must be an integer, got True"),
+    ("friends", "null", "field 'friends' must be an integer, got None"),
+    ("study_days", '" 12 "', "field 'study_days' must be a number, got ' 12 '"),
+    ("study_days", "false", "field 'study_days' must be a number, got False"),
+    ("study_days", "NaN", "field 'study_days' is not a finite number"),
+]
+
+
+def poison_segment_profile(store, field, token):
+    """Rewrite the first user record of segment 0's sidecar with profile
+    ``field`` set to the raw JSON text ``token``; returns the sidecar."""
+    path = store.directory / store.segments[0].users_file
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["profile"][field] = "@"
+    lines[0] = json.dumps(record).replace('"@"', token)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("field, token, message", BAD_PROFILES,
+                         ids=["string-friends", "float-badges", "bool-mayorships",
+                              "null-friends", "string-days", "bool-days", "nan-days"])
+@pytest.mark.parametrize("loader", ["load_dataset", "iter_user_data", "load_segment"])
+def test_profile_of_wrong_type_rejected(tmp_path, dataset, loader, field, token, message):
+    from repro.io import iter_user_data, load_dataset_into_store
+
+    save_dataset(raw_dataset(dataset), tmp_path / "ds")
+    if loader == "load_segment":
+        store = load_dataset_into_store(tmp_path / "ds", tmp_path / "store")
+        path = poison_segment_profile(store, field, token)
+        prefix = f"{path}: record for user 'u0': "
+        with pytest.raises(ValueError) as excinfo:
+            store.load_segment(0)
+    else:
+        path = tmp_path / "ds" / "profiles.jsonl"
+        poison(path, field, token)
+        prefix = f"{path}: profile record for user 'u0': "
+        with pytest.raises(ValueError) as excinfo:
+            if loader == "load_dataset":
+                load_dataset(tmp_path / "ds")
+            else:
+                list(iter_user_data(tmp_path / "ds"))
+    assert str(excinfo.value) == prefix + message
+
+
+def test_fixture_profiles_load_with_their_types(tmp_path):
+    """Integer counts and float ``study_days``, as every fixture writes
+    them, load unchanged through both loaders."""
+    from pathlib import Path
+
+    from repro.io import load_dataset_into_store
+
+    golden = Path(__file__).resolve().parent / "data" / "golden_study"
+    raw = [json.loads(line) for line in (golden / "profiles.jsonl").read_text().splitlines()]
+    assert {type(r[f]) for r in raw for f in ("friends", "badges", "mayorships")} == {int}
+    assert {type(r["study_days"]) for r in raw} == {float}
+    loaded = load_dataset(golden).users
+    store = load_dataset_into_store(golden, tmp_path / "store")
+    segmented = {
+        uid: user
+        for i in range(len(store.segments))
+        for uid, user in store.load_segment(i).users.items()
+    }
+    for record in raw:
+        for profile in (loaded[record["user_id"]].profile,
+                        segmented[record["user_id"]].profile):
+            assert profile.friends == record["friends"]
+            assert type(profile.badges) is int
+            assert profile.study_days == record["study_days"]
+            assert type(profile.study_days) is float
