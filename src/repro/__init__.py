@@ -29,47 +29,21 @@ Quickstart::
     print(report.timings.format_report())
 """
 
-from .core import ValidationReport, validate
-from .model import (
-    Checkin,
-    CheckinType,
-    Dataset,
-    GpsPoint,
-    GpsTrace,
-    Poi,
-    PoiCategory,
-    UserProfile,
-    Visit,
-)
-from .obs import ObsContext, RunManifest
-from .runtime import ParallelExecutor, RuntimeTimings, SerialExecutor
-from .serve import ServeConfig, ValidationService
-from .synth import generate_baseline, generate_dataset, generate_primary, replay_events
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Checkin",
-    "CheckinType",
-    "Dataset",
-    "GpsPoint",
-    "GpsTrace",
-    "ObsContext",
-    "ParallelExecutor",
-    "Poi",
-    "PoiCategory",
-    "RunManifest",
-    "RuntimeTimings",
-    "SerialExecutor",
-    "ServeConfig",
-    "UserProfile",
-    "ValidationReport",
-    "ValidationService",
-    "Visit",
-    "__version__",
-    "generate_baseline",
-    "generate_dataset",
-    "generate_primary",
-    "replay_events",
-    "validate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core": ("ValidationReport", "validate"),
+    "model": (
+        "Checkin", "CheckinType", "Dataset", "GpsPoint", "GpsTrace", "Poi",
+        "PoiCategory", "UserProfile", "Visit",
+    ),
+    "obs": ("ObsContext", "RunManifest"),
+    "runtime": ("ParallelExecutor", "RuntimeTimings", "SerialExecutor"),
+    "serve": ("ServeConfig", "ValidationService"),
+    "synth": (
+        "generate_baseline", "generate_dataset", "generate_primary", "replay_events",
+    ),
+})
+__all__ = sorted([*__all__, "__version__"])

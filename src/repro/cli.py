@@ -94,43 +94,16 @@ from .obs import (
     write_trace,
 )
 from .runtime import POLICIES, FaultPlan, ResilienceConfig
-from .experiments import (
-    build_study,
-    collect_headline,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    table1,
-    table2,
-)
 from .io import load_dataset, load_dataset_into_store, save_dataset
-from .manet import bench_config, paper_config
+from .manet.config import bench_config, paper_config
 from .store import DEFAULT_SEGMENT_USERS, StudyStore
-from .synth import (
-    baseline_config,
-    generate_dataset,
-    generate_study_store,
-    primary_config,
-)
 
-#: Experiment registry: name -> module with a run(artifacts) function.
-EXPERIMENTS = {
-    "table1": table1,
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure3": figure3,
-    "figure4": figure4,
-    "table2": table2,
-    "figure5": figure5,
-    "figure6": figure6,
-    "figure7": figure7,
-    "figure8": figure8,
-}
+#: Experiment registry: the ``repro.experiments`` modules with a
+#: run(artifacts) function, in report order.
+EXPERIMENTS = (
+    "table1", "figure1", "figure2", "figure3", "figure4", "table2",
+    "figure5", "figure6", "figure7", "figure8",
+)
 
 
 def _worker_count(value: str) -> int:
@@ -615,6 +588,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .synth import (
+        baseline_config, generate_dataset, generate_study_store, primary_config,
+    )
+
     preset = primary_config if args.dataset == "primary" else baseline_config
     config = preset() if args.seed is None else preset(seed=args.seed)
     config = config.scaled(args.scale)
@@ -675,6 +652,8 @@ def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
     """
     import shutil
     import tempfile
+
+    from .synth import generate_study_store, primary_config
 
     seeds = {}
     scratch: Optional[str] = None
@@ -753,6 +732,8 @@ def _cmd_validate_disk(args, ctx, resilience, fault_plan) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .synth import generate_dataset, primary_config
+
     ctx, err = _obs_context(args)
     if err is not None:
         return err
@@ -813,7 +794,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     byte-identical to ``validate`` over the same study.
     """
     from .serve import ServeConfig, ValidationService, read_events, write_events
-    from .synth import replay_events
+    from .synth import generate_dataset, primary_config, replay_events
 
     ctx, err = _obs_context(args)
     if err is not None:
@@ -943,6 +924,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _study_artifacts(args: argparse.Namespace, ctx):
     """Run ``build_study`` for a study-shaped command under ``ctx``."""
+    from .experiments import build_study
+
     resilience, fault_plan, err = _resilience_from_args(args)
     if err is not None:
         raise SystemExit(err)
@@ -969,6 +952,8 @@ def _write_study_artifacts(
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from . import experiments
+
     names = list(EXPERIMENTS)
     if args.only:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
@@ -983,7 +968,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     results = []
     with activate(ctx):
         for name in names:
-            result = EXPERIMENTS[name].run(artifacts)
+            result = getattr(experiments, name).run(artifacts)
             results.append(result)
             text = (
                 result.format_table() if hasattr(result, "format_table")
@@ -993,12 +978,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print()
     _write_study_artifacts(
         args, ctx, "report", artifacts,
-        headline=collect_headline(results),
+        headline=experiments.collect_headline(results),
     )
     return 0
 
 
 def _cmd_manet(args: argparse.Namespace) -> int:
+    from .experiments import collect_headline, figure8
+
     ctx, err = _obs_context(args)
     if err is not None:
         return err

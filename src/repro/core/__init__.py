@@ -1,151 +1,47 @@
 """The paper's core contribution: checkin validity analysis."""
 
-from .burstiness import (
-    FilterTradeoff,
-    PrevalenceCdfs,
-    filter_tradeoff,
-    interarrival_by_type,
-    interarrival_times,
-    prevalence_cdfs,
-    user_type_ratios,
-)
-from .classify import (
-    ClassificationResult,
-    ClassifyConfig,
-    GpsLocator,
-    classify_dataset,
-    classify_extraneous_checkin,
-    classify_user_extraneous,
-)
-from .detection import (
-    BurstinessDetector,
-    CheckinFeatures,
-    DetectionMetrics,
-    GaussianNBDetector,
-    evaluate_detector,
-    extract_features,
-    split_users,
-    truth_labels,
-)
-from .incentives import (
-    TABLE2_FEATURES,
-    TABLE2_TYPES,
-    IncentiveCorrelations,
-    UserFeatureRow,
-    incentive_correlations,
-    user_feature_rows,
-)
-from .matching import (
-    MatchConfig,
-    MatchStats,
-    MatchingResult,
-    UserMatching,
-    match_dataset,
-    match_user,
-)
-from .missing import (
-    TopPoiMissingRatios,
-    missing_category_breakdown,
-    missing_fraction_by_user,
-    top_poi_missing_ratios,
-)
-from .pipeline import (
-    HeadlineCounts,
-    ValidationReport,
-    ValidationSummary,
-    format_summary,
-    set_headline_gauges,
-    validate,
-    validate_store,
-)
-from .recovery import (
-    CategoryRateModel,
-    RecoveryConfig,
-    RecoveryGain,
-    infer_home,
-    infer_work,
-    category_correction_error,
-    recover_dataset_events,
-    recover_user_events,
-    recovery_gain,
-)
-from .validation import (
-    MobilityMetrics,
-    checkin_metrics,
-    events_from_checkins,
-    events_from_visits,
-    gps_speed_sample,
-    visit_metrics,
-)
-from .visits import (
-    VisitConfig,
-    build_poi_index,
-    extract_dataset_visits,
-    extract_visits,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BurstinessDetector",
-    "CategoryRateModel",
-    "CheckinFeatures",
-    "ClassificationResult",
-    "ClassifyConfig",
-    "DetectionMetrics",
-    "FilterTradeoff",
-    "GaussianNBDetector",
-    "GpsLocator",
-    "HeadlineCounts",
-    "IncentiveCorrelations",
-    "MatchConfig",
-    "MatchStats",
-    "MatchingResult",
-    "MobilityMetrics",
-    "PrevalenceCdfs",
-    "RecoveryConfig",
-    "RecoveryGain",
-    "TABLE2_FEATURES",
-    "TABLE2_TYPES",
-    "TopPoiMissingRatios",
-    "UserFeatureRow",
-    "UserMatching",
-    "ValidationReport",
-    "ValidationSummary",
-    "VisitConfig",
-    "build_poi_index",
-    "category_correction_error",
-    "checkin_metrics",
-    "classify_dataset",
-    "classify_extraneous_checkin",
-    "classify_user_extraneous",
-    "evaluate_detector",
-    "events_from_checkins",
-    "events_from_visits",
-    "extract_dataset_visits",
-    "extract_features",
-    "extract_visits",
-    "filter_tradeoff",
-    "format_summary",
-    "gps_speed_sample",
-    "incentive_correlations",
-    "infer_home",
-    "infer_work",
-    "interarrival_by_type",
-    "interarrival_times",
-    "match_dataset",
-    "match_user",
-    "missing_category_breakdown",
-    "missing_fraction_by_user",
-    "prevalence_cdfs",
-    "recover_dataset_events",
-    "recover_user_events",
-    "recovery_gain",
-    "set_headline_gauges",
-    "split_users",
-    "top_poi_missing_ratios",
-    "truth_labels",
-    "user_feature_rows",
-    "user_type_ratios",
-    "validate",
-    "validate_store",
-    "visit_metrics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "burstiness": (
+        "FilterTradeoff", "PrevalenceCdfs", "filter_tradeoff", "interarrival_by_type",
+        "interarrival_times", "prevalence_cdfs", "user_type_ratios",
+    ),
+    "classify": (
+        "ClassificationResult", "ClassifyConfig", "GpsLocator", "classify_dataset",
+        "classify_extraneous_checkin", "classify_user_extraneous",
+    ),
+    "detection": (
+        "BurstinessDetector", "CheckinFeatures", "DetectionMetrics",
+        "GaussianNBDetector", "evaluate_detector", "extract_features", "split_users",
+        "truth_labels",
+    ),
+    "incentives": (
+        "TABLE2_FEATURES", "TABLE2_TYPES", "IncentiveCorrelations", "UserFeatureRow",
+        "incentive_correlations", "user_feature_rows",
+    ),
+    "matching": (
+        "MatchConfig", "MatchStats", "MatchingResult", "UserMatching", "match_dataset",
+        "match_user",
+    ),
+    "missing": (
+        "TopPoiMissingRatios", "missing_category_breakdown", "missing_fraction_by_user",
+        "top_poi_missing_ratios",
+    ),
+    "pipeline": (
+        "HeadlineCounts", "ValidationReport", "ValidationSummary", "format_summary",
+        "set_headline_gauges", "validate", "validate_store",
+    ),
+    "recovery": (
+        "CategoryRateModel", "RecoveryConfig", "RecoveryGain", "infer_home",
+        "infer_work", "category_correction_error", "recover_dataset_events",
+        "recover_user_events", "recovery_gain",
+    ),
+    "validation": (
+        "MobilityMetrics", "checkin_metrics", "events_from_checkins",
+        "events_from_visits", "gps_speed_sample", "visit_metrics",
+    ),
+    "visits": (
+        "VisitConfig", "build_poi_index", "extract_dataset_visits", "extract_visits",
+    ),
+})

@@ -1,24 +1,11 @@
 """One driver per table/figure of the paper's evaluation."""
 
-from . import figure1, figure2, figure3, figure4, figure5, figure6, figure7, figure8
-from . import export, table1, table2
-from .common import StudyArtifacts, build_study, cached_study
-from .headline import collect_headline
+from .._exports import lazy_exports
 
-__all__ = [
-    "StudyArtifacts",
-    "build_study",
-    "cached_study",
-    "collect_headline",
-    "export",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "table1",
-    "table2",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "common": ("StudyArtifacts", "build_study", "cached_study"),
+    "headline": ("collect_headline",),
+}, modules=(
+    "export", "figure1", "figure2", "figure3", "figure4", "figure5", "figure6",
+    "figure7", "figure8", "table1", "table2",
+))

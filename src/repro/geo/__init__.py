@@ -1,27 +1,12 @@
 """Geodesy primitives: distances, local projection, spatial index, units."""
 
-from .distance import (
-    EARTH_RADIUS_M,
-    bearing,
-    destination,
-    euclidean,
-    euclidean_many,
-    haversine,
-    haversine_many,
-)
-from .grid import GridIndex
-from .projection import LocalProjection
-from . import units
+from .._exports import lazy_exports
 
-__all__ = [
-    "EARTH_RADIUS_M",
-    "GridIndex",
-    "LocalProjection",
-    "bearing",
-    "destination",
-    "euclidean",
-    "euclidean_many",
-    "haversine",
-    "haversine_many",
-    "units",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "distance": (
+        "EARTH_RADIUS_M", "bearing", "destination", "euclidean", "euclidean_many",
+        "haversine", "haversine_many",
+    ),
+    "grid": ("GridIndex",),
+    "projection": ("LocalProjection",),
+}, modules=("units",))

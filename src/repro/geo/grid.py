@@ -44,6 +44,11 @@ _Cell = Tuple[int, int]
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _no_pairs() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    empty = np.zeros(0, dtype=np.int64)
+    return empty, empty, np.zeros(0)
+
+
 def pairs_within(
     px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray, radius: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -63,6 +68,8 @@ def pairs_within(
         d2 = (px - bx) ** 2 + (py - by) ** 2
         rows, hit = np.nonzero(d2 <= r2)
         found.append((rows + lo, hit, d2[rows, hit]))
+    if not found:
+        return _no_pairs()
     if len(found) == 1:
         return found[0]
     rows, hit, d2 = zip(*found)
@@ -97,8 +104,7 @@ def owner_pairs_within(
     if sum(q_counts) != qx.size or sum(p_counts) != px.size:
         raise ValueError("owner counts must add up to the point and query columns")
     if qx.size == 0 or px.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0)
+        return _no_pairs()
     # Array methods rather than np.* wrappers: the streaming engine
     # calls this once per one-user chunk, where call overhead dominates.
     q_counts = np.asarray(q_counts, dtype=np.int64)

@@ -1,33 +1,12 @@
 """Data model: records for POIs, GPS points, visits, checkins, datasets."""
 
-from .dataset import Dataset, DatasetStats, UserData, rename, study_duration_days
-from .trace import GpsLike, GpsTrace, as_trace
-from .types import (
-    EXTRANEOUS_TYPES,
-    Checkin,
-    CheckinType,
-    GpsPoint,
-    Poi,
-    PoiCategory,
-    UserProfile,
-    Visit,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Checkin",
-    "CheckinType",
-    "Dataset",
-    "DatasetStats",
-    "EXTRANEOUS_TYPES",
-    "GpsLike",
-    "GpsPoint",
-    "GpsTrace",
-    "Poi",
-    "PoiCategory",
-    "UserData",
-    "UserProfile",
-    "Visit",
-    "as_trace",
-    "rename",
-    "study_duration_days",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "dataset": ("Dataset", "DatasetStats", "UserData", "rename", "study_duration_days"),
+    "trace": ("GpsLike", "GpsTrace", "as_trace"),
+    "types": (
+        "EXTRANEOUS_TYPES", "Checkin", "CheckinType", "GpsPoint", "Poi", "PoiCategory",
+        "UserProfile", "Visit",
+    ),
+})

@@ -46,92 +46,28 @@ See DESIGN.md §7 for the span taxonomy, metric name tables, scorecard
 schema and diff exit codes.
 """
 
-from .context import (
-    NULL_OBS,
-    EventRecord,
-    NullObs,
-    ObsContext,
-    SpanRecord,
-    activate,
-    current,
-)
-from .diff import DiffEntry, ManifestDiff, diff_manifests, diff_traces
-from .export import read_trace, trace_records, write_trace
-from .fidelity import (
-    DEFAULT_REGISTRY,
-    ReferenceCheck,
-    Scorecard,
-    ScorecardEntry,
-    evaluate,
-    manifest_statistics,
-    report_statistics,
-    scorecard_for_manifest,
-)
-from .manifest import (
-    SCHEMA_VERSION,
-    RunManifest,
-    build_manifest,
-    config_hash,
-    dataset_fingerprint,
-    fingerprint_from_counts,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import profile_call, profile_summary, top_functions
-from .telemetry import (
-    LiveMetrics,
-    ProgressLine,
-    TelemetrySampler,
-    format_dashboard,
-    parse_openmetrics,
-    process_stats,
-    read_status,
-    registry_collector,
-    render_openmetrics,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_REGISTRY",
-    "NULL_OBS",
-    "SCHEMA_VERSION",
-    "Counter",
-    "DiffEntry",
-    "EventRecord",
-    "Gauge",
-    "Histogram",
-    "LiveMetrics",
-    "ManifestDiff",
-    "MetricsRegistry",
-    "NullObs",
-    "ObsContext",
-    "ProgressLine",
-    "ReferenceCheck",
-    "RunManifest",
-    "Scorecard",
-    "ScorecardEntry",
-    "SpanRecord",
-    "TelemetrySampler",
-    "activate",
-    "build_manifest",
-    "config_hash",
-    "current",
-    "dataset_fingerprint",
-    "diff_manifests",
-    "diff_traces",
-    "evaluate",
-    "fingerprint_from_counts",
-    "format_dashboard",
-    "manifest_statistics",
-    "parse_openmetrics",
-    "process_stats",
-    "profile_call",
-    "profile_summary",
-    "read_status",
-    "read_trace",
-    "registry_collector",
-    "render_openmetrics",
-    "report_statistics",
-    "scorecard_for_manifest",
-    "top_functions",
-    "trace_records",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "context": (
+        "NULL_OBS", "EventRecord", "NullObs", "ObsContext", "SpanRecord", "activate",
+        "current",
+    ),
+    "diff": ("DiffEntry", "ManifestDiff", "diff_manifests", "diff_traces"),
+    "export": ("read_trace", "trace_records", "write_trace"),
+    "fidelity": (
+        "DEFAULT_REGISTRY", "ReferenceCheck", "Scorecard", "ScorecardEntry", "evaluate",
+        "manifest_statistics", "report_statistics", "scorecard_for_manifest",
+    ),
+    "manifest": (
+        "SCHEMA_VERSION", "RunManifest", "build_manifest", "config_hash",
+        "dataset_fingerprint", "fingerprint_from_counts",
+    ),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "profile": ("profile_call", "profile_summary", "top_functions"),
+    "telemetry": (
+        "LiveMetrics", "ProgressLine", "TelemetrySampler", "format_dashboard",
+        "parse_openmetrics", "process_stats", "read_status", "registry_collector",
+        "render_openmetrics",
+    ),
+})

@@ -36,75 +36,26 @@ Quickstart::
     print(report.health.format_report())
 """
 
-from .errors import RuntimeConfigError, ShardError, WorkUnitError
-from .executor import (
-    OVERSUBSCRIBE,
-    ParallelExecutor,
-    SerialExecutor,
-    available_workers,
-    resolve_executor,
-    run_stage,
-    shard_count,
-)
-from .faults import (
-    CRASH_EXIT_CODE,
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    InjectedCrash,
-    InjectedFault,
-)
-from .merge import StreamMerger, merge_user_maps
-from .resilience import (
-    POLICIES,
-    DegradedResult,
-    ResilienceConfig,
-    RunHealth,
-    run_shards_resilient,
-)
-from .sharding import (
-    GPS_SAMPLES_PER_VISIT,
-    Shard,
-    pre_extraction_weight,
-    shard_dataset,
-    shard_segment,
-    shard_user_table,
-    user_weight,
-)
-from .timing import RuntimeTimings, ShardTiming, StageTiming
+from .._exports import lazy_exports
 
-__all__ = [
-    "CRASH_EXIT_CODE",
-    "FAULT_KINDS",
-    "GPS_SAMPLES_PER_VISIT",
-    "OVERSUBSCRIBE",
-    "POLICIES",
-    "DegradedResult",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedCrash",
-    "InjectedFault",
-    "ParallelExecutor",
-    "ResilienceConfig",
-    "RunHealth",
-    "RuntimeConfigError",
-    "RuntimeTimings",
-    "SerialExecutor",
-    "Shard",
-    "ShardError",
-    "ShardTiming",
-    "StageTiming",
-    "StreamMerger",
-    "WorkUnitError",
-    "available_workers",
-    "merge_user_maps",
-    "pre_extraction_weight",
-    "resolve_executor",
-    "run_shards_resilient",
-    "run_stage",
-    "shard_count",
-    "shard_dataset",
-    "shard_segment",
-    "shard_user_table",
-    "user_weight",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "errors": ("RuntimeConfigError", "ShardError", "WorkUnitError"),
+    "executor": (
+        "OVERSUBSCRIBE", "ParallelExecutor", "SerialExecutor", "available_workers",
+        "resolve_executor", "run_stage", "shard_count",
+    ),
+    "faults": (
+        "CRASH_EXIT_CODE", "FAULT_KINDS", "FaultPlan", "FaultSpec", "InjectedCrash",
+        "InjectedFault",
+    ),
+    "merge": ("StreamMerger", "merge_user_maps"),
+    "resilience": (
+        "POLICIES", "DegradedResult", "ResilienceConfig", "RunHealth",
+        "run_shards_resilient",
+    ),
+    "sharding": (
+        "GPS_SAMPLES_PER_VISIT", "Shard", "pre_extraction_weight", "shard_dataset",
+        "shard_segment", "shard_user_table", "user_weight",
+    ),
+    "timing": ("RuntimeTimings", "ShardTiming", "StageTiming"),
+})

@@ -30,42 +30,15 @@ CLI: ``repro-study serve`` (see ``--help``); benchmark: the
 ``serve_replay`` workload of ``perfbench/run.py``.
 """
 
-from .engine import SERVE_STATE_FORMAT, ServeConfig, StreamEngine, UserStreamState
-from .events import (
-    EVENT_KINDS,
-    StreamEvent,
-    Verdict,
-    checkin_event,
-    event_from_dict,
-    gps_event,
-    missing_visit_ids,
-    read_events,
-    register_event,
-    verdict_labels,
-    write_events,
-)
-from .service import ServeSummary, ServeTelemetry, ValidationService
-from .snapshot import SERVE_SNAPSHOT_FORMAT, ServeStateStore
+from .._exports import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "SERVE_SNAPSHOT_FORMAT",
-    "SERVE_STATE_FORMAT",
-    "ServeConfig",
-    "ServeStateStore",
-    "ServeSummary",
-    "ServeTelemetry",
-    "StreamEngine",
-    "StreamEvent",
-    "UserStreamState",
-    "ValidationService",
-    "Verdict",
-    "checkin_event",
-    "event_from_dict",
-    "gps_event",
-    "missing_visit_ids",
-    "read_events",
-    "register_event",
-    "verdict_labels",
-    "write_events",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "engine": ("SERVE_STATE_FORMAT", "ServeConfig", "StreamEngine", "UserStreamState"),
+    "events": (
+        "EVENT_KINDS", "StreamEvent", "Verdict", "checkin_event", "event_from_dict",
+        "gps_event", "missing_visit_ids", "read_events", "register_event",
+        "verdict_labels", "write_events",
+    ),
+    "service": ("ServeSummary", "ServeTelemetry", "ValidationService"),
+    "snapshot": ("SERVE_SNAPSHOT_FORMAT", "ServeStateStore"),
+})

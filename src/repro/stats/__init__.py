@@ -1,28 +1,13 @@
 """Statistics toolkit: ECDFs, fits, correlation, entropy."""
 
-from .correlation import pearson
-from .ecdf import Ecdf, category_pdf, ks_distance, log_binned_pdf
-from .entropy import entropy_from_counts, entropy_of_labels, normalized_entropy
-from .fits import (
-    ParetoFit,
-    PowerLawFit,
-    fit_movement_time_law,
-    fit_pareto,
-    fit_power_law,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Ecdf",
-    "ParetoFit",
-    "PowerLawFit",
-    "category_pdf",
-    "entropy_from_counts",
-    "entropy_of_labels",
-    "fit_movement_time_law",
-    "fit_pareto",
-    "fit_power_law",
-    "ks_distance",
-    "log_binned_pdf",
-    "normalized_entropy",
-    "pearson",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "correlation": ("pearson",),
+    "ecdf": ("Ecdf", "category_pdf", "ks_distance", "log_binned_pdf"),
+    "entropy": ("entropy_from_counts", "entropy_of_labels", "normalized_entropy"),
+    "fits": (
+        "ParetoFit", "PowerLawFit", "fit_movement_time_law", "fit_pareto",
+        "fit_power_law",
+    ),
+})

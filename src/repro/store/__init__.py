@@ -23,46 +23,19 @@ Quickstart::
     print(summary.summary())          # identical to the in-memory path
 """
 
-from .checkpoint import (
-    CHECKPOINT_FORMAT,
-    CheckpointStore,
-    atomic_pickle_dump,
-    load_pickle_record,
-)
-from .segment import (
-    MAGIC,
-    SEGMENT_FORMAT,
-    SegmentFormatError,
-    SegmentInfo,
-    SegmentReader,
-    write_segment,
-)
-from .study import (
-    DEFAULT_SEGMENT_USERS,
-    MANIFEST_NAME,
-    STORE_FORMAT,
-    SegmentEntry,
-    StoreFormatError,
-    StudyStore,
-    StudyStoreWriter,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_FORMAT",
-    "DEFAULT_SEGMENT_USERS",
-    "MAGIC",
-    "MANIFEST_NAME",
-    "SEGMENT_FORMAT",
-    "STORE_FORMAT",
-    "CheckpointStore",
-    "SegmentEntry",
-    "SegmentFormatError",
-    "SegmentInfo",
-    "SegmentReader",
-    "StoreFormatError",
-    "StudyStore",
-    "StudyStoreWriter",
-    "atomic_pickle_dump",
-    "load_pickle_record",
-    "write_segment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "checkpoint": (
+        "CHECKPOINT_FORMAT", "CheckpointStore", "atomic_pickle_dump",
+        "load_pickle_record",
+    ),
+    "segment": (
+        "MAGIC", "SEGMENT_FORMAT", "SegmentFormatError", "SegmentInfo", "SegmentReader",
+        "write_segment",
+    ),
+    "study": (
+        "DEFAULT_SEGMENT_USERS", "MANIFEST_NAME", "STORE_FORMAT", "SegmentEntry",
+        "StoreFormatError", "StudyStore", "StudyStoreWriter",
+    ),
+})

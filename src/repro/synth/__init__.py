@@ -1,74 +1,27 @@
 """Synthetic geosocial user study (substitute for the paper's private data)."""
 
-from .checkins import generate_checkins
-from .config import (
-    BehaviorConfig,
-    MobilityConfig,
-    StudyConfig,
-    WorldConfig,
-    baseline_config,
-    primary_config,
-)
-from .itinerary import Itinerary, ItineraryBuilder, Leg, Stay
-from .mobility import Coverage, CoverageWindow, build_coverage, ground_truth_visits, sample_gps
-from .replay import replay_events, replay_fraction
-from .persona import Persona, build_profile, sample_persona
-from .scalegen import generate_scale_store, iter_scale_users
-from .study import (
-    StudyPlan,
-    generate_baseline,
-    generate_dataset,
-    generate_primary,
-    generate_study_store,
-    iter_study_users,
-    plan_study,
-)
-from .world import (
-    BORING_CATEGORIES,
-    CATEGORY_WEIGHTS,
-    ERRAND_CATEGORIES,
-    World,
-    generate_world,
-    make_home_poi,
-    pick_work_poi,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BORING_CATEGORIES",
-    "BehaviorConfig",
-    "CATEGORY_WEIGHTS",
-    "Coverage",
-    "CoverageWindow",
-    "ERRAND_CATEGORIES",
-    "Itinerary",
-    "ItineraryBuilder",
-    "Leg",
-    "MobilityConfig",
-    "Persona",
-    "Stay",
-    "StudyConfig",
-    "StudyPlan",
-    "World",
-    "WorldConfig",
-    "baseline_config",
-    "build_coverage",
-    "build_profile",
-    "generate_baseline",
-    "generate_checkins",
-    "generate_dataset",
-    "generate_primary",
-    "generate_scale_store",
-    "generate_study_store",
-    "generate_world",
-    "ground_truth_visits",
-    "iter_scale_users",
-    "iter_study_users",
-    "replay_events",
-    "replay_fraction",
-    "make_home_poi",
-    "pick_work_poi",
-    "plan_study",
-    "primary_config",
-    "sample_gps",
-    "sample_persona",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "checkins": ("generate_checkins",),
+    "config": (
+        "BehaviorConfig", "MobilityConfig", "StudyConfig", "WorldConfig",
+        "baseline_config", "primary_config",
+    ),
+    "itinerary": ("Itinerary", "ItineraryBuilder", "Leg", "Stay"),
+    "mobility": (
+        "Coverage", "CoverageWindow", "build_coverage", "ground_truth_visits",
+        "sample_gps",
+    ),
+    "replay": ("replay_events", "replay_fraction"),
+    "persona": ("Persona", "build_profile", "sample_persona"),
+    "scalegen": ("generate_scale_store", "iter_scale_users"),
+    "study": (
+        "StudyPlan", "generate_baseline", "generate_dataset", "generate_primary",
+        "generate_study_store", "iter_study_users", "plan_study",
+    ),
+    "world": (
+        "BORING_CATEGORIES", "CATEGORY_WEIGHTS", "ERRAND_CATEGORIES", "World",
+        "generate_world", "make_home_poi", "pick_work_poi",
+    ),
+})

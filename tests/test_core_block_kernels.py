@@ -271,9 +271,6 @@ class TestOwnerPairs:
         want_rows, want_hit, want_d2 = [], [], []
         p0 = q0 = 0
         for p, q in sizes:
-            if not q:  # pairs_within needs at least one query
-                p0 += p
-                continue
             r, h, d = pairs_within(
                 px[p0 : p0 + p], py[p0 : p0 + p], qx[q0 : q0 + q], qy[q0 : q0 + q], 250.0
             )

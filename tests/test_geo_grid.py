@@ -178,6 +178,20 @@ def test_pairs_within_blocks_match_per_query_passes(rng, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("n_points", [0, 5])
+def test_pairs_within_no_queries(n_points):
+    """Zero queries find no pairs, typed like owner_pairs_within's empty
+    result."""
+    from repro.geo import grid
+
+    px = py = np.arange(float(n_points))
+    none = np.zeros(0)
+    got = grid.pairs_within(px, py, none, none, 10.0)
+    want = grid.owner_pairs_within(px, py, [n_points], none, none, [0], 10.0)
+    assert [a.size for a in got] == [0, 0, 0]
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+
+
 def assert_same_candidates(got, want):
     """Same items; distances to the last bit or two.  ``within`` squares
     with Python's ``**`` (libm ``pow``), the batched paths multiply, and
