@@ -201,8 +201,8 @@ def classify_extraneous_checkin(
     """Assign one extraneous checkin to the Section 5.1 taxonomy.
 
     ``candidates`` are the user's visits within ``alpha_m`` of the
-    checkin, as ``(distance, visit)`` pairs in any order (for instance a
-    :meth:`GridIndex.within` call).  The shard path
+    checkin, as ``(distance, visit)`` pairs in any order (for instance
+    one row of :meth:`GridIndex.within_many`).  The shard path
     (:func:`classify_user_extraneous`, :func:`_classify_shard`) builds no
     candidate lists: one :func:`repro.core.matching.candidate_pairs`
     pass settles the superfluous test of every checkin at once.

@@ -22,8 +22,10 @@ running ``sum / count`` with the sums accumulated by ``np.cumsum`` — one
 point at a time, in time order — so the output is bit-identical to a
 plain per-point loop (the parity oracle in ``tests/oracles.py``): same
 visit ids, same centroids, same timestamps, for any trace.  A block's
-stays are annotated with one batched nearest-POI query that keeps
-``GridIndex.nearest``'s exact radius and tie rule.
+stays are annotated with one :meth:`GridIndex.nearest_many` query: the
+nearest POI by ``math.hypot`` within the annotation radius, exact ties
+to the POI a ring walk over cells meets first, as the oracle's scalar
+per-visit lookup decides them.
 """
 
 from __future__ import annotations
@@ -334,7 +336,7 @@ def _grow_clusters(
 
 
 def build_poi_index(pois: Sequence[Poi] | dict) -> GridIndex:
-    """Grid index over POIs for visit annotation and world queries."""
+    """Grid index over POIs for visit annotation."""
     values = list(pois.values() if isinstance(pois, dict) else pois)
     return GridIndex.from_columns(
         [poi.x for poi in values], [poi.y for poi in values], values, cell_size=250.0

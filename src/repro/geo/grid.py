@@ -1,42 +1,32 @@
-"""Uniform grid spatial index for planar radius queries.
+"""Planar radius and nearest-point queries, answered in batches.
 
-The matching algorithm (Section 4.1 of the paper) repeatedly asks "which
-visits lie within α metres of this checkin?", and the MANET simulator asks
-"which nodes lie within radio range of this node?".  Both are radius
-queries over a few thousand points, for which a uniform grid hashed by
-cell is simple, dependency-free, and O(points in nearby cells) per query.
+The pipeline asks two spatial questions: matching (Section 4.1 of the
+paper) asks which of a user's visits lie within α metres of each
+checkin, and visit annotation asks which POI lies nearest each stay.
+Both are asked for many query points at once, so every query here is
+array arithmetic over flat float64 coordinate columns.
 
-Two representations coexist: mutable per-cell Python buckets (inserts,
-``within``/``nearest``) and a lazily built columnar snapshot — flat
-NumPy coordinate arrays — that powers the batched
-:meth:`GridIndex.within_many` and :meth:`GridIndex.nearest_many`, which
-amortise per-query overhead when a caller needs answers for many query
-points at once.  A batch of at most :data:`_BLOCK_ELEMENTS` (query,
-point) pairs is one distance pass, :func:`pairs_within`, which the
-MANET engine also runs directly on node coordinates for a tick's
-broadcasts; a larger batch tests only each query's x-strip of points.
-When queries and points both belong to owners (a shard's users), and
-only same-owner pairs count, :func:`owner_pairs_within` runs that test
-over every owner at once with no index at all: matching and
-classification call it once per shard.
-
-Either representation can come first.  :meth:`GridIndex.from_columns`
-bulk-loads coordinate arrays straight into the columnar snapshot (no
-per-point Python work) and defers building the Python buckets until a
-bucket API (``within``/``nearest``/iteration/mutation) is actually used.
+:func:`pairs_within` is one distance pass over every (query, point)
+pair, a block of at most :data:`_BLOCK_ELEMENTS` pairs at a time; the
+MANET engine runs it directly on node coordinates for a tick's
+broadcasts.  When queries and points both belong to owners (a shard's
+users) and only same-owner pairs count, :func:`owner_pairs_within`
+runs that test over every owner at once with no index at all: matching
+and classification call it once per shard.  :class:`GridIndex` holds
+one bulk-loaded point set (the POIs) for :meth:`GridIndex.nearest_many`
+and :meth:`GridIndex.within_many`: a small batch is one
+:func:`pairs_within` pass, a larger one tests only each query's x-strip
+of points.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Generic, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Dict, Generic, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
-
-_Cell = Tuple[int, int]
 
 #: Elements per row block of a (queries x points) distance pass, and
 #: candidate pairs per query block of an x-strip search: bounds their
@@ -178,138 +168,57 @@ def _query_columns(
 
 
 class GridIndex(Generic[T]):
-    """Point index over the plane supporting radius and nearest queries.
+    """Columnar point index over the plane: batched radius and nearest
+    queries.
+
+    Holds the points as flat columns, ``x``, ``y`` and ``items``, in
+    the caller's order, plus the row order by x, sorted on first use of
+    the x-strip search.  Build it with :meth:`from_columns`.
 
     Parameters
     ----------
     cell_size:
-        Edge length of each square cell in metres.  Choose it close to
-        the typical query radius; queries scan ``ceil(r / cell_size) + 1``
-        rings of cells around the query point.
+        Edge length in metres of the square cells whose ring walk
+        decides exact ties in :meth:`nearest_many`.
     """
 
-    def __init__(self, cell_size: float) -> None:
+    __slots__ = ("cell_size", "x", "y", "items", "_by_x")
+
+    def __init__(
+        self,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        items: Sequence[T],
+        cell_size: float,
+    ) -> None:
         if cell_size <= 0:
             raise ValueError(f"cell_size must be positive, got {cell_size!r}")
+        x = np.asarray(xs, dtype=np.float64)
+        y = np.asarray(ys, dtype=np.float64)
+        if x.shape != y.shape or x.ndim != 1:
+            raise ValueError("GridIndex takes two equal-length 1-d coordinate arrays")
+        if len(items) != x.size:
+            raise ValueError(f"expected {x.size} items, got {len(items)}")
         self.cell_size = float(cell_size)
-        self._cells: Dict[_Cell, List[Tuple[float, float, T]]] = defaultdict(list)
-        self._count = 0
-        # Occupied-cell bounding box, maintained incrementally so
-        # `nearest` never rescans every cell to bound its ring walk.
-        self._gx_min = self._gy_min = math.inf
-        self._gx_max = self._gy_max = -math.inf
-        # Columnar snapshot for within_many; rebuilt lazily after writes.
-        self._columns: "_Columns[T] | None" = None
-        # True after from_columns: buckets lag the snapshot and are
-        # materialised on first use of a bucket API.
-        self._cells_stale = False
+        self.x = x
+        self.y = y
+        self.items: List[T] = list(items)
+        self._by_x: "Tuple[np.ndarray, np.ndarray] | None" = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        items: Sequence[T],
+        cell_size: float,
+    ) -> "GridIndex[T]":
+        """Bulk-load an index from coordinate arrays: two array
+        conversions and no per-point Python work."""
+        return cls(xs, ys, items, cell_size)
 
     def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[Tuple[float, float, T]]:
-        self._ensure_cells()
-        return self._iter_cells()
-
-    def _iter_cells(self) -> Iterator[Tuple[float, float, T]]:
-        for bucket in self._cells.values():
-            yield from bucket
-
-    def _ensure_cells(self) -> None:
-        """Materialise Python buckets from a columns-first bulk load."""
-        if not self._cells_stale:
-            return
-        cols = self._columns
-        assert cols is not None
-        gx = np.floor(cols.x / self.cell_size).astype(np.int64)
-        gy = np.floor(cols.y / self.cell_size).astype(np.int64)
-        for x, y, item, cx, cy in zip(
-            cols.x.tolist(), cols.y.tolist(), cols.items, gx.tolist(), gy.tolist()
-        ):
-            self._cells[(cx, cy)].append((x, y, item))
-        self._grow_bbox(int(gx.min()), int(gy.min()))
-        self._grow_bbox(int(gx.max()), int(gy.max()))
-        self._cells_stale = False
-
-    def _cell_of(self, x: float, y: float) -> _Cell:
-        return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
-
-    def _grow_bbox(self, gx: int, gy: int) -> None:
-        if gx < self._gx_min:
-            self._gx_min = gx
-        if gx > self._gx_max:
-            self._gx_max = gx
-        if gy < self._gy_min:
-            self._gy_min = gy
-        if gy > self._gy_max:
-            self._gy_max = gy
-
-    def insert(self, x: float, y: float, item: T) -> None:
-        """Insert ``item`` at planar position (x, y) metres."""
-        self._ensure_cells()
-        cell = self._cell_of(x, y)
-        self._cells[cell].append((x, y, item))
-        self._count += 1
-        self._grow_bbox(cell[0], cell[1])
-        self._columns = None
-
-    def extend(self, points: Iterable[Tuple[float, float, T]]) -> None:
-        """Insert many ``(x, y, item)`` triples.
-
-        Bulk path: cell coordinates are computed in one vectorised pass
-        and buckets are extended per cell, not per point.
-        """
-        self._ensure_cells()
-        triples = points if isinstance(points, list) else list(points)
-        if not triples:
-            return
-        n = len(triples)
-        xs = np.fromiter((p[0] for p in triples), dtype=np.float64, count=n)
-        ys = np.fromiter((p[1] for p in triples), dtype=np.float64, count=n)
-        gx = np.floor(xs / self.cell_size).astype(np.int64)
-        gy = np.floor(ys / self.cell_size).astype(np.int64)
-        grouped: Dict[_Cell, List[Tuple[float, float, T]]] = {}
-        for triple, cx, cy in zip(triples, gx.tolist(), gy.tolist()):
-            grouped.setdefault((cx, cy), []).append(triple)
-        for cell, members in grouped.items():
-            self._cells[cell].extend(members)
-        self._count += n
-        self._grow_bbox(int(gx.min()), int(gy.min()))
-        self._grow_bbox(int(gx.max()), int(gy.max()))
-        self._columns = None
-
-    def clear(self) -> None:
-        """Remove all points."""
-        self._cells.clear()
-        self._count = 0
-        self._gx_min = self._gy_min = math.inf
-        self._gx_max = self._gy_max = -math.inf
-        self._columns = None
-        self._cells_stale = False
-
-    def within(self, x: float, y: float, radius: float) -> List[Tuple[float, T]]:
-        """All items within ``radius`` metres of (x, y), as (distance, item).
-
-        Results are unordered; callers needing the nearest first should
-        sort or use :meth:`nearest`.
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius!r}")
-        self._ensure_cells()
-        reach = math.ceil(radius / self.cell_size)
-        cx, cy = self._cell_of(x, y)
-        r2 = radius * radius
-        found: List[Tuple[float, T]] = []
-        for gx in range(cx - reach, cx + reach + 1):
-            for gy in range(cy - reach, cy + reach + 1):
-                bucket = self._cells.get((gx, gy))
-                if not bucket:
-                    continue
-                for px, py, item in bucket:
-                    d2 = (px - x) ** 2 + (py - y) ** 2
-                    if d2 <= r2:
-                        found.append((math.sqrt(d2), item))
-        return found
+        return self.x.size
 
     def within_many(
         self,
@@ -317,18 +226,15 @@ class GridIndex(Generic[T]):
         ys: Sequence[float],
         radius: float,
     ) -> List[List[Tuple[float, T]]]:
-        """Batched :meth:`within`: one candidate list per query point.
+        """Every point within ``radius`` of each query point, inclusive.
 
-        Equivalent to ``[self.within(x, y, radius) for x, y in ...]`` up
-        to result order (lists are unordered, like ``within``), but runs
-        the distance filter as array arithmetic over a columnar snapshot
-        of the index, amortising the per-query bucket walk.
+        One ``(distance, item)`` list per query, ordered by row in the
+        distance pass and by x in the strip search: callers must treat
+        it as unordered.
         """
         qx, qy = _query_columns(xs, ys, radius)
-        if self._count == 0 or qx.size == 0:
-            return [[] for _ in range(qx.size)]
         rows, hit, d2 = self._pairs(qx, qy, radius)
-        items = self._columns.items
+        items = self.items
         flat = [(d, items[i]) for d, i in zip(np.sqrt(d2).tolist(), hit.tolist())]
         return split_rows(flat, rows, qx.size)
 
@@ -338,30 +244,27 @@ class GridIndex(Generic[T]):
         ys: Sequence[float],
         max_radius: float,
     ) -> List["Tuple[float, T] | None"]:
-        """Batched :meth:`nearest`: the same result for every query point.
+        """The nearest point to each query within ``max_radius``, as
+        ``(distance, item)``, or ``None``.
 
-        One squared-distance prefilter over the columnar snapshot, at a
-        radius a hair above ``max_radius`` so no point whose
-        ``math.hypot`` distance rounds inside it is dropped; then
-        ``nearest``'s exact rule on the survivors: ``math.hypot`` distance
-        ``<= max_radius``, smallest wins, and exact ties go to the point
-        ``nearest``'s ring walk meets first (ring, then cell, then
-        insertion order).
+        One squared-distance prefilter, at a radius a hair above
+        ``max_radius`` so no point whose ``math.hypot`` distance rounds
+        inside it is dropped; then the exact rule on the survivors:
+        ``math.hypot`` distance ``<= max_radius``, smallest wins, and
+        exact ties go to the point a ring walk over cells from the query
+        meets first (:meth:`_walk_order`).
         """
         qx, qy = _query_columns(xs, ys, max_radius)
         out: List["Tuple[float, T] | None"] = [None] * qx.size
-        if self._count == 0 or qx.size == 0:
-            return out
         rows, hit, _ = self._pairs(qx, qy, max_radius * (1.0 + 1e-9))
-        cols = self._columns
         best: Dict[int, Tuple[float, int]] = {}
         for r, i, x, y, px, py in zip(
             rows.tolist(),
             hit.tolist(),
             qx[rows].tolist(),
             qy[rows].tolist(),
-            cols.x[hit].tolist(),
-            cols.y[hit].tolist(),
+            self.x[hit].tolist(),
+            self.y[hit].tolist(),
         ):
             d = math.hypot(px - x, py - y)
             if d > max_radius:
@@ -373,24 +276,24 @@ class GridIndex(Generic[T]):
             ):
                 best[r] = (d, i)
         for r, (d, i) in best.items():
-            out[r] = (d, cols.items[i])
+            out[r] = (d, self.items[i])
         return out
 
     def _walk_order(self, x: float, y: float, i: int) -> Tuple[int, int, int, int]:
-        """Where :meth:`nearest`'s ring walk from (x, y) meets column row ``i``.
-
-        Rows of one cell keep their insertion order in the snapshot, so
-        the row number orders points within a cell.
-        """
-        cx, cy = self._cell_of(x, y)
-        gx, gy = self._cell_of(float(self._columns.x[i]), float(self._columns.y[i]))
+        """Where a ring walk from (x, y) meets row ``i``: by ring (cell
+        distance from the query's cell), then cell column, then cell
+        row, then row number, which is insertion order within a cell."""
+        size = self.cell_size
+        cx, cy = math.floor(x / size), math.floor(y / size)
+        gx = math.floor(float(self.x[i]) / size)
+        gy = math.floor(float(self.y[i]) / size)
         return (max(abs(gx - cx), abs(gy - cy)), gx, gy, i)
 
     def _pairs(
         self, qx: np.ndarray, qy: np.ndarray, radius: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (query, snapshot row) pair within ``radius``: query
-        index, row and squared distance of each hit, ordered by query.
+        """Every (query, row) pair within ``radius``: query index, row
+        and squared distance of each hit, ordered by query.
 
         A small batch is one :func:`pairs_within` pass over every
         (query, point) pair.  A larger one tests only the points in each
@@ -400,139 +303,15 @@ class GridIndex(Generic[T]):
         paths compute the same squared distances with the same
         arithmetic, so they agree exactly.
         """
-        cols = self._ensure_columns()
-        if qx.size * self._count <= _BLOCK_ELEMENTS:
-            return pairs_within(cols.x, cols.y, qx, qy, radius)
-        order, sx = cols.by_x
+        if qx.size * self.x.size <= _BLOCK_ELEMENTS:
+            return pairs_within(self.x, self.y, qx, qy, radius)
+        if self._by_x is None:
+            order = np.argsort(self.x, kind="stable")
+            self._by_x = (order, self.x[order])
+        order, sx = self._by_x
         # The strip only preselects: widen it past any rounding in
         # ``qx +- radius`` so the exact test sees every hit.
         pad = radius + 1e-9 * (radius + np.abs(qx))
         lo = np.searchsorted(sx, qx - pad, side="left")
         counts = np.searchsorted(sx, qx + pad, side="right") - lo
-        return _ranged_pairs(cols.x, cols.y, qx, qy, lo, counts, radius, order)
-
-    def _ensure_columns(self) -> "_Columns[T]":
-        """The columnar snapshot, rebuilt if writes invalidated it."""
-        if self._columns is None:
-            self._columns = _Columns.build(self._cells, self._count)
-        return self._columns
-
-    def nearest(self, x: float, y: float, max_radius: float = math.inf):
-        """Nearest item to (x, y) within ``max_radius``, or ``None``.
-
-        Returns ``(distance, item)``.  Searches expanding rings of cells,
-        stopping as soon as the best candidate provably beats anything in
-        unexplored rings.
-        """
-        if self._count == 0:
-            return None
-        self._ensure_cells()
-        cx, cy = self._cell_of(x, y)
-        best: Tuple[float, T] | None = None
-        ring = 0
-        # Largest useful ring, from the incrementally maintained
-        # occupied-cell bounding box: beyond it every cell is empty.
-        max_ring = int(
-            max(
-                cx - self._gx_min,
-                self._gx_max - cx,
-                cy - self._gy_min,
-                self._gy_max - cy,
-                0,
-            )
-        )
-        while ring <= max_ring:
-            for gx in range(cx - ring, cx + ring + 1):
-                for gy in range(cy - ring, cy + ring + 1):
-                    if max(abs(gx - cx), abs(gy - cy)) != ring:
-                        continue
-                    bucket = self._cells.get((gx, gy))
-                    if not bucket:
-                        continue
-                    for px, py, item in bucket:
-                        d = math.hypot(px - x, py - y)
-                        if d <= max_radius and (best is None or d < best[0]):
-                            best = (d, item)
-            if best is not None and best[0] <= ring * self.cell_size:
-                # No unexplored cell can hold a closer point.
-                break
-            ring += 1
-        return best
-
-    @classmethod
-    def from_points(
-        cls, points: Sequence[Tuple[float, float, T]], cell_size: float
-    ) -> "GridIndex[T]":
-        """Build an index directly from ``(x, y, item)`` triples."""
-        index: GridIndex[T] = cls(cell_size)
-        index.extend(points)
-        return index
-
-    @classmethod
-    def from_columns(
-        cls,
-        xs: Sequence[float],
-        ys: Sequence[float],
-        items: Sequence[T],
-        cell_size: float,
-    ) -> "GridIndex[T]":
-        """Bulk-load an index from coordinate arrays.
-
-        Builds the columnar snapshot of the batched queries directly,
-        with no per-point Python work, and defers the cell sort, the
-        per-cell Python buckets and their bounding box until
-        a bucket API (``within``, ``nearest``, iteration, or a mutation)
-        is used.  The batched queries never need the cell grouping, so a
-        bulk-loaded index that only answers them costs two array
-        conversions.
-        """
-        index: GridIndex[T] = cls(cell_size)
-        qx = np.asarray(xs, dtype=np.float64)
-        qy = np.asarray(ys, dtype=np.float64)
-        if qx.shape != qy.shape or qx.ndim != 1:
-            raise ValueError("from_columns takes two equal-length 1-d coordinate arrays")
-        n = qx.size
-        if len(items) != n:
-            raise ValueError(f"expected {n} items, got {len(items)}")
-        if n == 0:
-            return index
-        index._columns = _Columns(qx, qy, list(items))
-        index._count = n
-        index._cells_stale = True
-        return index
-
-
-class _Columns(Generic[T]):
-    """Flat columnar snapshot of a grid: coordinates + items.
-
-    Built from buckets the rows arrive cell by cell, each cell's rows in
-    insertion order; built from a bulk :meth:`GridIndex.from_columns`
-    load they stay in caller order.  Either way one cell's rows keep
-    their insertion order, which :meth:`GridIndex.nearest_many` relies
-    on to break ties the way :meth:`GridIndex.nearest` does.
-    """
-
-    __slots__ = ("x", "y", "items", "_by_x")
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, items: List[T]) -> None:
-        self.x = x
-        self.y = y
-        self.items = items
-        self._by_x: "Tuple[np.ndarray, np.ndarray] | None" = None
-
-    @property
-    def by_x(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Row order by x coordinate, and the x column in that order."""
-        if self._by_x is None:
-            order = np.argsort(self.x, kind="stable")
-            self._by_x = (order, self.x[order])
-        return self._by_x
-
-    @classmethod
-    def build(
-        cls, cells: Dict[_Cell, List[Tuple[float, float, T]]], count: int
-    ) -> "_Columns[T]":
-        rows = [row for bucket in cells.values() for row in bucket]
-        x = np.fromiter((row[0] for row in rows), dtype=np.float64, count=count)
-        y = np.fromiter((row[1] for row in rows), dtype=np.float64, count=count)
-        return cls(x, y, [row[2] for row in rows])
+        return _ranged_pairs(self.x, self.y, qx, qy, lo, counts, radius, order)

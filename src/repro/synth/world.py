@@ -9,12 +9,12 @@ it does in a real city.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geo import GridIndex
 from ..model import Poi, PoiCategory
 from .config import WorldConfig
 
@@ -52,6 +52,9 @@ BORING_CATEGORIES: frozenset = frozenset(
     {PoiCategory.RESIDENCE, PoiCategory.PROFESSIONAL, PoiCategory.COLLEGE}
 )
 
+#: Edge of the square cells the world buckets its POIs in, in metres.
+_CELL_M = 500.0
+
 
 @dataclass
 class World:
@@ -59,14 +62,15 @@ class World:
 
     size_m: float
     pois: Dict[str, Poi]
-    _index: GridIndex = field(repr=False, default=None)  # type: ignore[assignment]
+    _cells: Dict[Tuple[int, int], List[Poi]] = field(
+        init=False, repr=False, default_factory=dict
+    )
     _by_category: Dict[PoiCategory, List[Poi]] = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self._index is None:
-            self._index = GridIndex(cell_size=500.0)
-            for poi in self.pois.values():
-                self._index.insert(poi.x, poi.y, poi)
+        for poi in self.pois.values():
+            cell = (math.floor(poi.x / _CELL_M), math.floor(poi.y / _CELL_M))
+            self._cells.setdefault(cell, []).append(poi)
         if not self._by_category:
             for poi in self.pois.values():
                 self._by_category.setdefault(poi.category, []).append(poi)
@@ -75,12 +79,26 @@ class World:
         return len(self.pois)
 
     def pois_within(self, x: float, y: float, radius: float) -> List[Tuple[float, Poi]]:
-        """POIs within ``radius`` metres of (x, y), as (distance, poi)."""
-        return self._index.within(x, y, radius)
+        """POIs within ``radius`` metres of (x, y), as (distance, poi).
 
-    def nearest_poi(self, x: float, y: float, max_radius: float = float("inf")):
-        """Closest POI to (x, y) within ``max_radius``, or None."""
-        return self._index.nearest(x, y, max_radius)
+        Generation picks from this list by index, so its order and
+        arithmetic decide the generated bytes: cells column by column
+        (x, then y), POIs of a cell in insertion order, squares taken
+        with ``**``.
+        """
+        if radius < 0:
+            raise ValueError(f"radius must be non-negative, got {radius!r}")
+        reach = math.ceil(radius / _CELL_M)
+        cx, cy = math.floor(x / _CELL_M), math.floor(y / _CELL_M)
+        r2 = radius * radius
+        found: List[Tuple[float, Poi]] = []
+        for gx in range(cx - reach, cx + reach + 1):
+            for gy in range(cy - reach, cy + reach + 1):
+                for poi in self._cells.get((gx, gy), ()):
+                    d2 = (poi.x - x) ** 2 + (poi.y - y) ** 2
+                    if d2 <= r2:
+                        found.append((math.sqrt(d2), poi))
+        return found
 
     def random_poi(
         self, rng: np.random.Generator, category: Optional[PoiCategory] = None
@@ -117,7 +135,7 @@ class World:
         lo, hi = 0.6 * target_distance, 1.6 * target_distance
         ring = [
             poi
-            for dist, poi in self._index.within(x, y, hi)
+            for dist, poi in self.pois_within(x, y, hi)
             if dist >= lo and eligible(poi)
         ]
         if ring:

@@ -13,12 +13,19 @@ MANET oracle also runs its own node hot paths
 (:class:`ReferenceAodvNode`), so the shortcuts production takes inside
 :class:`repro.manet.AodvNode` are checked too.  Each oracle is the most
 direct reading of the algorithm; none of it is tuned.
+
+:class:`BucketGrid` is the scalar spatial index production's columnar
+:class:`repro.geo.GridIndex` replaced: per-cell Python buckets, one
+radius or nearest query at a time.  It annotates the extraction
+oracle's visits, finds the scalar MANET loop's neighbours, and is the
+reference of the grid tests.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from collections import Counter, defaultdict
+from typing import Dict, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -36,6 +43,118 @@ from repro.manet.packets import DataPacket, Rerr, Rrep, Rreq
 from repro.model import Checkin, CheckinType, GpsPoint, GpsTrace, Visit
 from repro.obs import current as obs_current
 
+T = TypeVar("T")
+
+
+class BucketGrid(Generic[T]):
+    """Oracle for :class:`repro.geo.GridIndex`: a uniform grid of
+    mutable per-cell buckets, queried one point at a time.
+
+    ``within`` tests every point of the cells within reach of the
+    radius; ``nearest`` walks rings of cells outward from the query's
+    cell and breaks exact ties by the order it meets points in (ring,
+    then cell, then insertion order), the rule
+    :meth:`GridIndex.nearest_many` reproduces.
+    """
+
+    def __init__(self, cell_size: float) -> None:
+        self.cell_size = float(cell_size)
+        self._cells: Dict[Tuple[int, int], List[Tuple[float, float, T]]] = (
+            defaultdict(list)
+        )
+        self._count = 0
+        # Occupied-cell bounding box: bounds the ring walk of `nearest`.
+        self._gx_min = self._gy_min = math.inf
+        self._gx_max = self._gy_max = -math.inf
+
+    def __len__(self) -> int:
+        return self._count
+
+    @classmethod
+    def from_points(
+        cls, points: Iterable[Tuple[float, float, T]], cell_size: float
+    ) -> "BucketGrid[T]":
+        """A grid of ``(x, y, item)`` triples, inserted in order."""
+        grid: BucketGrid[T] = cls(cell_size)
+        for x, y, item in points:
+            grid.insert(x, y, item)
+        return grid
+
+    @classmethod
+    def of_index(cls, index: GridIndex) -> "BucketGrid":
+        """The points of ``index``, inserted in row order, so exact ties
+        resolve as the index resolves them."""
+        return cls.from_points(
+            zip(index.x.tolist(), index.y.tolist(), index.items), index.cell_size
+        )
+
+    def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
+        return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
+
+    def insert(self, x: float, y: float, item: T) -> None:
+        """Insert ``item`` at planar position (x, y) metres."""
+        gx, gy = self._cell_of(x, y)
+        self._cells[(gx, gy)].append((x, y, item))
+        self._count += 1
+        self._gx_min = min(self._gx_min, gx)
+        self._gx_max = max(self._gx_max, gx)
+        self._gy_min = min(self._gy_min, gy)
+        self._gy_max = max(self._gy_max, gy)
+
+    def within(self, x: float, y: float, radius: float) -> List[Tuple[float, T]]:
+        """All items within ``radius`` metres of (x, y), as (distance,
+        item), unordered."""
+        if radius < 0:
+            raise ValueError(f"radius must be non-negative, got {radius!r}")
+        reach = math.ceil(radius / self.cell_size)
+        cx, cy = self._cell_of(x, y)
+        r2 = radius * radius
+        found: List[Tuple[float, T]] = []
+        for gx in range(cx - reach, cx + reach + 1):
+            for gy in range(cy - reach, cy + reach + 1):
+                for px, py, item in self._cells.get((gx, gy), ()):
+                    d2 = (px - x) ** 2 + (py - y) ** 2
+                    if d2 <= r2:
+                        found.append((math.sqrt(d2), item))
+        return found
+
+    def nearest(self, x: float, y: float, max_radius: float = math.inf):
+        """Nearest item to (x, y) within ``max_radius``, as (distance,
+        item), or ``None``.
+
+        Searches expanding rings of cells, stopping as soon as the best
+        candidate provably beats anything in unexplored rings.
+        """
+        if self._count == 0:
+            return None
+        cx, cy = self._cell_of(x, y)
+        best: Optional[Tuple[float, T]] = None
+        # Beyond the occupied-cell bounding box every cell is empty.
+        max_ring = int(
+            max(
+                cx - self._gx_min,
+                self._gx_max - cx,
+                cy - self._gy_min,
+                self._gy_max - cy,
+                0,
+            )
+        )
+        ring = 0
+        while ring <= max_ring:
+            for gx in range(cx - ring, cx + ring + 1):
+                for gy in range(cy - ring, cy + ring + 1):
+                    if max(abs(gx - cx), abs(gy - cy)) != ring:
+                        continue
+                    for px, py, item in self._cells.get((gx, gy), ()):
+                        d = math.hypot(px - x, py - y)
+                        if d <= max_radius and (best is None or d < best[0]):
+                            best = (d, item)
+            if best is not None and best[0] <= ring * self.cell_size:
+                # No unexplored cell can hold a closer point.
+                break
+            ring += 1
+        return best
+
 
 def extract_visits_scalar(
     points: Sequence[GpsPoint] | GpsTrace,
@@ -46,8 +165,9 @@ def extract_visits_scalar(
 ) -> List[Visit]:
     """Oracle for :func:`repro.core.extract_visits` (same signature)."""
     pts = sorted(points, key=lambda p: p.t)
+    poi_grid = None if poi_index is None else BucketGrid.of_index(poi_index)
     return _extract_visits_scalar(
-        pts, user_id, config or VisitConfig(), poi_index, start_counter
+        pts, user_id, config or VisitConfig(), poi_grid, start_counter
     )
 
 
@@ -59,12 +179,12 @@ def _make_visit(
     t_start: float,
     t_end: float,
     config: VisitConfig,
-    poi_index: Optional[GridIndex],
+    poi_grid: Optional[BucketGrid],
 ) -> Visit:
-    """Emit one visit, annotated through one :meth:`GridIndex.nearest` call."""
+    """Emit one visit, annotated through one :meth:`BucketGrid.nearest` call."""
     poi_id = None
-    if poi_index is not None:
-        hit = poi_index.nearest(cx, cy, max_radius=config.annotate_radius_m)
+    if poi_grid is not None:
+        hit = poi_grid.nearest(cx, cy, max_radius=config.annotate_radius_m)
         if hit is not None:
             poi_id = hit[1].poi_id
     return Visit(
@@ -82,7 +202,7 @@ def _extract_visits_scalar(
     pts: List[GpsPoint],
     user_id: str,
     config: VisitConfig,
-    poi_index: Optional[GridIndex],
+    poi_grid: Optional[BucketGrid],
     start_counter: int = 0,
 ) -> List[Visit]:
     """Reference kernel: sequential scan over time-sorted points.
@@ -117,7 +237,7 @@ def _extract_visits_scalar(
         if pts[j].t - pts[i].t >= config.dwell_s:
             visits.append(
                 _make_visit(
-                    user_id, counter, cx, cy, pts[i].t, pts[j].t, config, poi_index
+                    user_id, counter, cx, cy, pts[i].t, pts[j].t, config, poi_grid
                 )
             )
             counter += 1
@@ -360,7 +480,7 @@ class ScalarSimulator(Simulator):
     """Oracle for :class:`repro.manet.Simulator`: the reference tick loop.
 
     Per-node ``position_at`` calls and a freshly filled grid index every
-    tick, one ``GridIndex.within`` query per broadcast, one range check
+    tick, one ``BucketGrid.within`` query per broadcast, one range check
     per unicast, every reception through ``receive``, and every node's
     housekeeping, outbox and route state scanned every tick, over
     :class:`ReferenceAodvNode` nodes.  Only the nodes and the loop
@@ -375,8 +495,8 @@ class ScalarSimulator(Simulator):
             for i in range(self.config.n_nodes)
         ]
 
-    def _update_positions(self, now: float) -> GridIndex:
-        index: GridIndex = GridIndex(cell_size=self.config.radio_range_m)
+    def _update_positions(self, now: float) -> BucketGrid:
+        index: BucketGrid = BucketGrid(cell_size=self.config.radio_range_m)
         for i, trace in enumerate(self.traces):
             x, y = trace.position_at(now)
             self._positions[i, 0] = x
@@ -389,7 +509,7 @@ class ScalarSimulator(Simulator):
         dy = self._positions[a, 1] - self._positions[b, 1]
         return dx * dx + dy * dy <= self.config.radio_range_m**2
 
-    def _deliver(self, index: GridIndex, now: float) -> None:
+    def _deliver(self, index: BucketGrid, now: float) -> None:
         air, self._air = self._air, []
         for message in air:
             sender = message.sender

@@ -9,8 +9,9 @@ from repro.core import (
     match_dataset,
 )
 from repro.core.classify import classify_extraneous_checkin
-from repro.geo import GridIndex, units
+from repro.geo import units
 from repro.model import CheckinType
+from oracles import BucketGrid
 from helpers import (
     make_checkin,
     make_dataset,
@@ -63,10 +64,8 @@ class TestGpsLocator:
 def classify_one(checkin, gps, visits, config=None):
     config = config or ClassifyConfig()
     locator = GpsLocator(gps)
-    index = GridIndex(cell_size=500.0)
-    for v in visits:
-        index.insert(v.x, v.y, v)
-    candidates = index.within(checkin.x, checkin.y, config.alpha_m)
+    grid = BucketGrid.from_points([(v.x, v.y, v) for v in visits], cell_size=500.0)
+    candidates = grid.within(checkin.x, checkin.y, config.alpha_m)
     return classify_extraneous_checkin(checkin, locator, candidates, config)
 
 
@@ -185,12 +184,13 @@ def test_batched_candidates_match_per_checkin_within():
     seen = set()
     for user_id, data in report.dataset.users.items():
         extraneous = report.matching.per_user[user_id].extraneous
-        index = GridIndex(cell_size=max(100.0, config.alpha_m))
-        index.extend([(v.x, v.y, v) for v in data.visits])
+        grid = BucketGrid.from_points(
+            [(v.x, v.y, v) for v in data.visits], cell_size=max(100.0, config.alpha_m)
+        )
         locator = GpsLocator(data.gps)
         per_checkin = [
             classify_extraneous_checkin(
-                c, locator, index.within(c.x, c.y, config.alpha_m), config
+                c, locator, grid.within(c.x, c.y, config.alpha_m), config
             )
             for c in extraneous
         ]

@@ -50,26 +50,25 @@ class TestGridIndexProperties:
            radius=st.floats(min_value=0, max_value=100_000).map(lambda v: round(v, 3)))
     @settings(max_examples=60, deadline=None)
     def test_within_matches_bruteforce(self, points, qx, qy, radius):
-        index = GridIndex(cell_size=1500.0)
-        for x, y, item in points:
-            index.insert(x, y, item)
-        got = sorted(item for _, item in index.within(qx, qy, radius))
+        xs, ys, items = zip(*points)
+        index = GridIndex.from_columns(xs, ys, items, cell_size=1500.0)
+        [hits] = index.within_many([qx], [qy], radius)
+        got = sorted(item for _, item in hits)
         expected = sorted(
             item
             for x, y, item in points
-            if (x - qx) ** 2 + (y - qy) ** 2 <= radius * radius
+            if (x - qx) * (x - qx) + (y - qy) * (y - qy) <= radius * radius
         )
         assert got == expected
 
     @given(points=point_sets(), qx=coords, qy=coords)
     @settings(max_examples=60, deadline=None)
     def test_nearest_matches_bruteforce(self, points, qx, qy):
-        index = GridIndex(cell_size=1500.0)
-        for x, y, item in points:
-            index.insert(x, y, item)
-        dist, _ = index.nearest(qx, qy)
+        xs, ys, items = zip(*points)
+        index = GridIndex.from_columns(xs, ys, items, cell_size=1500.0)
+        [(dist, _)] = index.nearest_many([qx], [qy], math.inf)
         best = min(math.hypot(x - qx, y - qy) for x, y, _ in points)
-        assert math.isclose(dist, best, rel_tol=1e-9, abs_tol=1e-9)
+        assert dist == best
 
 
 class TestProjectionProperties:

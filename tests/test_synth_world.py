@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import BucketGrid
 from repro.model import PoiCategory
 from repro.synth import (
     CATEGORY_WEIGHTS,
@@ -54,11 +55,15 @@ def test_pois_within(world):
         assert math.hypot(p.x - poi.x, p.y - poi.y) == pytest.approx(dist)
 
 
-def test_nearest_poi(world):
-    poi = next(iter(world.pois.values()))
-    hit = world.nearest_poi(poi.x + 1, poi.y)
-    assert hit is not None
-    assert hit[0] <= 10.0
+def test_pois_within_keeps_the_bucket_grid_order(world, rng):
+    # Generation picks from this list by index: its order and distance
+    # bits are those of the scalar bucket grid over the same POIs.
+    grid = BucketGrid.from_points(
+        [(poi.x, poi.y, poi) for poi in world.pois.values()], cell_size=500.0
+    )
+    for x, y in rng.uniform(0, world.size_m, size=(20, 2)).tolist():
+        for radius in (0.0, 450.0, 1600.0):
+            assert world.pois_within(x, y, radius) == grid.within(x, y, radius)
 
 
 def test_random_poi_category(world, rng):

@@ -7,7 +7,7 @@ and any block of users.  The property tests throw randomised traces
 with recording gaps, jitter and dwell-threshold edge cases at both, one
 user at a time and many users per block; the annotation tests pin the
 radius boundary and tie rule of the one batched POI query against the
-oracle's per-visit ``GridIndex.nearest``; the golden tests anchor parity
+oracle's per-visit ``BucketGrid.nearest``; the golden tests anchor parity
 to the committed fixture through the full pipeline at several worker
 counts.
 """
