@@ -68,7 +68,7 @@ class TestGridIndexProperties:
         index = GridIndex.from_columns(xs, ys, items, cell_size=1500.0)
         [(dist, _)] = index.nearest_many([qx], [qy], math.inf)
         best = min(math.hypot(x - qx, y - qy) for x, y, _ in points)
-        assert dist == best
+        assert math.isclose(dist, best, rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestProjectionProperties:
